@@ -128,7 +128,7 @@ void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
     mio::Ewah acc;
     for (const mio::PointGroup& g : g2.LargeGroups(i)) {
-      acc.OrWith(g2.EnsureAdj(g.key).adj);
+      acc.OrWith(g2.EnsureAdj(g.cell).bits);
     }
     benchmark_sink += acc.Count();
   }

@@ -172,10 +172,9 @@ void PrintCompressionReport() {
     mio::BitsetCompressionStats stats = grid.CompressionStats();
     // Re-encode every small-cell bitset under Roaring for comparison.
     std::size_t roaring_bytes = 0;
-    grid.ForEachLargeCell([&](const mio::CellKey&, mio::LargeCell& cell) {
-      roaring_bytes +=
-          mio::Roaring::FromPlain(cell.bits.ToPlain()).CompressedBytes();
-    });
+    for (const mio::Ewah& bits : grid.large().bits) {
+      roaring_bytes += mio::Roaring::FromPlain(bits.ToPlain()).CompressedBytes();
+    }
     std::printf("%-10s %10zu %14zu %16zu %12zu %9.1f%%\n",
                 mio::datagen::PresetName(preset).c_str(), stats.num_bitsets,
                 stats.compressed_bytes, stats.uncompressed_bytes,

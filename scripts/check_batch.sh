@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Batch-execution gate: builds the batch differential tests and the CLI
-# under ASan and UBSan and runs them (the shared class grids, two-level
-# posting rewrite, and mid-batch ClearGridCache lifetime contract must be
-# clean under both), then diffs `mio run-workload --batch` against the
+# under ASan and UBSan and runs them (the shared class grids and the
+# mid-batch ClearGridCache lifetime contract must be clean under both),
+# runs the concurrent batch-plus-query test under TSan, then diffs `mio run-workload --batch` against the
 # sequential run of the same 102-query mixed-ceil(r) workload — winner
 # id/score must match per query, batched records must carry the "batch"
 # section, and `mio qlog report` must split the two populations. Finally
@@ -99,6 +99,18 @@ for san in address undefined; do
   "$dir/tests/batch_test" --gtest_brief=1 \
     || { echo "FAILED: $san batch_test"; exit 1; }
 done
+
+# ThreadSanitizer: batches and single queries run concurrently on one
+# engine, sharing its cached class grids and labels. A built grid is
+# immutable apart from the stripe-locked b_adj and P_{i,K} memoisation,
+# so any other write to a shared grid is a reported race here.
+dir="$PREFIX-thread"
+echo "== sanitizer: thread =="
+build "$dir" -DMIO_SANITIZE=thread
+echo "  [thread] batch_test (concurrent batch + query)"
+TSAN_OPTIONS=halt_on_error=1 "$dir/tests/batch_test" --gtest_brief=1 \
+  --gtest_filter='BatchTest.ConcurrentWithQueryOnOneEngine' \
+  || { echo "FAILED: thread batch_test"; exit 1; }
 
 # The differential workload runs under ASan: a dangling class grid after
 # a mid-batch cache clear (or any use-after-free in the shared posting

@@ -158,24 +158,8 @@ void Ewah::DecodeInto(PlainBitset* out) const {
   out->Reset();
   out->Resize(size_in_bits_);
   // Word-wise decode: runs of ones fill whole words, literals copy.
-  std::size_t pos = 0;
-  std::size_t word = 0;
-  while (pos < buffer_.size()) {
-    std::uint64_t m = buffer_[pos];
-    std::uint64_t run_len = RunLen(m);
-    if (RunBit(m)) {
-      for (std::uint64_t w = 0; w < run_len; ++w) {
-        out->AssignWord(word + w, ~std::uint64_t(0));
-      }
-    }
-    word += run_len;
-    std::uint64_t lit = LitCount(m);
-    for (std::uint64_t l = 0; l < lit; ++l) {
-      out->AssignWord(word + l, buffer_[pos + 1 + l]);
-    }
-    word += lit;
-    pos += 1 + lit;
-  }
+  ForEachNonZeroWord(
+      [&](std::size_t w, std::uint64_t v) { out->AssignWord(w, v); });
 }
 
 Ewah Ewah::FromPlain(const PlainBitset& plain) {

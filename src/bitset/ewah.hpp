@@ -104,6 +104,33 @@ class Ewah {
     }
   }
 
+  /// Invokes f(word_index, word) for every non-zero logical word in
+  /// ascending order (runs of ones expand to all-ones words; zero runs
+  /// are skipped), so a consumer pays for the compressed size, not the
+  /// universe.
+  template <typename F>
+  void ForEachNonZeroWord(F&& f) const {
+    std::size_t pos = 0;
+    std::size_t word = 0;
+    while (pos < buffer_.size()) {
+      const std::uint64_t m = buffer_[pos];
+      const std::uint64_t run_len = RunLen(m);
+      if (RunBit(m)) {
+        for (std::uint64_t w = 0; w < run_len; ++w) {
+          f(word + w, ~std::uint64_t(0));
+        }
+      }
+      word += run_len;
+      const std::uint64_t lit = LitCount(m);
+      for (std::uint64_t l = 0; l < lit; ++l) {
+        const std::uint64_t v = buffer_[pos + 1 + l];
+        if (v != 0) f(word + l, v);
+      }
+      word += lit;
+      pos += 1 + lit;
+    }
+  }
+
   /// Decompresses to an uncompressed bitset.
   PlainBitset ToPlain() const;
   /// Decompresses into an existing bitset (cleared first), reusing its

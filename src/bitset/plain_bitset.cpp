@@ -27,11 +27,6 @@ void PlainBitset::Clear(std::size_t i) {
   words_[i / 64] &= ~(std::uint64_t(1) << (i % 64));
 }
 
-bool PlainBitset::Test(std::size_t i) const {
-  if (i / 64 >= words_.size()) return false;
-  return (words_[i / 64] >> (i % 64)) & 1u;
-}
-
 std::size_t PlainBitset::Count() const {
   std::size_t c = 0;
   for (std::uint64_t w : words_) c += __builtin_popcountll(w);

@@ -28,8 +28,12 @@ class PlainBitset {
   void Set(std::size_t i);
   /// Clears bit i (no-op past the end).
   void Clear(std::size_t i);
-  /// Tests bit i (false past the end).
-  bool Test(std::size_t i) const;
+  /// Tests bit i (false past the end). Inline: verification tests one
+  /// bit per visited posting run.
+  bool Test(std::size_t i) const {
+    if (i / 64 >= words_.size()) return false;
+    return (words_[i / 64] >> (i % 64)) & 1u;
+  }
 
   /// Number of set bits.
   std::size_t Count() const;

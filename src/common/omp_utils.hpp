@@ -26,6 +26,15 @@ inline int ThreadId() {
 #endif
 }
 
+/// Number of threads in the current team (1 outside a parallel region).
+inline int TeamSize() {
+#ifdef _OPENMP
+  return omp_get_num_threads();
+#else
+  return 1;
+#endif
+}
+
 /// Clamps a requested thread count to [1, max] where max defaults to the
 /// OpenMP runtime limit; 0 means "use all".
 inline int ResolveThreads(int requested) {

@@ -13,8 +13,7 @@
 
 namespace mio {
 
-BatchResult MioEngine::QueryBatch(const std::vector<BatchQuery>& queries,
-                                  const BatchOptions& options) {
+BatchResult MioEngine::QueryBatch(const std::vector<BatchQuery>& queries) {
   MIO_TRACE_SPAN_CAT("query_batch", "query");
   BatchResult out;
   out.results.resize(queries.size());
@@ -55,13 +54,12 @@ BatchResult MioEngine::QueryBatch(const std::vector<BatchQuery>& queries,
     std::size_t class_posting_bytes = 0;
     auto adopt_class_grid = [&](std::shared_ptr<LargeGridData> g) {
       class_grid = std::move(g);
-      if (options.partition_postings) {
-        const std::size_t cells = PartitionLargeGridPostings(
-            class_grid.get(), options.partition_min_points);
-        out.stats.cells_partitioned += cells;
-        obs::Add(obs::Counter::kBatchCellsPartitioned, cells);
-      }
-      class_posting_bytes = LargeGridPostingBytes(*class_grid);
+      // Grids are built in their final (octant) layout and never
+      // rewritten, so adopting one only records what siblings share.
+      const std::size_t cells = class_grid->NumOctantCells();
+      out.stats.cells_partitioned += cells;
+      obs::Add(obs::Counter::kBatchCellsPartitioned, cells);
+      class_posting_bytes = class_grid->PostingBytes();
     };
     if (class_grid != nullptr) adopt_class_grid(std::move(class_grid));
 

@@ -16,7 +16,7 @@ namespace {
 
 // Striped locks guarding the lazy mutations of shared LargeGridData —
 // b_adj memoisation (per cell) and group building (per grid). Keyed by
-// address so the shared structs stay plain copyable data; 64 stripes keep
+// address so the shared structs stay plain data; 64 stripes keep
 // cross-cell contention negligible while bounding lock storage. Stripe
 // collisions between unrelated cells only serialise two builders, never
 // deadlock (no path holds two stripes at once).
@@ -27,152 +27,347 @@ std::mutex& StripeFor(const void* p) {
   return stripes[h % stripes.size()];
 }
 
+template <typename T>
+std::size_t VecBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+/// A mapped point awaiting its small cell.
+struct SmallEntry {
+  CellKey key;
+  ObjectId obj;
+};
+
+/// A mapped point awaiting its large cell (j = index within the object).
+struct LargeEntry {
+  CellKey key;
+  ObjectId obj;
+  std::uint32_t j;
+};
+
+/// Order-preserving unsigned image of a lattice coordinate.
+inline std::uint32_t Biased(std::int32_t v) {
+  return static_cast<std::uint32_t>(v) ^ 0x80000000u;
+}
+
+constexpr std::int32_t CellKey::*kCoords[3] = {&CellKey::x, &CellKey::y,
+                                               &CellKey::z};
+
+/// Stable LSD radix sort of `entries` by cell key, in CellKey::operator<
+/// order (x, then y, then z). Stability keeps equal keys in input order —
+/// the ascending (object, point) order the grids are built in. Digits
+/// above the highest bit where a coordinate's minimum and maximum differ
+/// are constant over the input and skipped, so typical extents sort in
+/// three to six byte passes. Each pass splits the input into one chunk
+/// per thread: per-chunk digit counts, one exclusive scan, then a stable
+/// scatter.
+template <typename Entry>
+void SortByCellKey(std::vector<Entry>* entries, int threads) {
+  const std::size_t n = entries->size();
+  if (n < 2) return;
+  std::uint32_t lo[3] = {~0u, ~0u, ~0u};
+  std::uint32_t hi[3] = {0, 0, 0};
+  for (const Entry& e : *entries) {
+    for (int d = 0; d < 3; ++d) {
+      const std::uint32_t u = Biased(e.key.*kCoords[d]);
+      lo[d] = std::min(lo[d], u);
+      hi[d] = std::max(hi[d], u);
+    }
+  }
+  threads = static_cast<int>(std::clamp<std::size_t>(
+      n / 32768, 1, static_cast<std::size_t>(std::max(threads, 1))));
+
+  std::vector<Entry> buf(n);
+  Entry* src = entries->data();
+  Entry* dst = buf.data();
+  std::vector<std::array<std::size_t, 256>> counts(
+      static_cast<std::size_t>(threads));
+  for (int d = 2; d >= 0; --d) {
+    for (int shift = 0; shift < 32 && ((lo[d] ^ hi[d]) >> shift) != 0;
+         shift += 8) {
+#pragma omp parallel num_threads(threads) if (threads > 1)
+      {
+        // Loop-invariant copies: stores through `out` may not alias them.
+        const std::int32_t CellKey::*coord = kCoords[d];
+        const unsigned sh = static_cast<unsigned>(shift);
+        const Entry* in = src;
+        Entry* out = dst;
+        const std::size_t team = static_cast<std::size_t>(TeamSize());
+        const std::size_t t = static_cast<std::size_t>(ThreadId());
+        const std::size_t begin = n * t / team;
+        const std::size_t end = n * (t + 1) / team;
+        std::array<std::size_t, 256> count{};
+        for (std::size_t i = begin; i < end; ++i) {
+          ++count[(Biased(in[i].key.*coord) >> sh) & 0xFFu];
+        }
+        counts[t] = count;
+#pragma omp barrier
+#pragma omp single
+        {
+          std::size_t sum = 0;
+          for (std::size_t v = 0; v < 256; ++v) {
+            for (std::size_t w = 0; w < team; ++w) {
+              const std::size_t c = counts[w][v];
+              counts[w][v] = sum;
+              sum += c;
+            }
+          }
+        }
+        count = counts[t];
+        for (std::size_t i = begin; i < end; ++i) {
+          out[count[(Biased(in[i].key.*coord) >> sh) & 0xFFu]++] = in[i];
+        }
+      }
+      std::swap(src, dst);
+    }
+  }
+  if (src != entries->data()) entries->swap(buf);
+}
+
+/// End of the run of entries sharing entries[s]'s key.
+template <typename Entry>
+std::size_t KeyRunEnd(const std::vector<Entry>& entries, std::size_t s) {
+  std::size_t e = s + 1;
+  while (e < entries.size() && entries[e].key == entries[s].key) ++e;
+  return e;
+}
+
+/// Octant (bit 0/1/2 = upper half along x/y/z) of p in the cell with key
+/// k. The assignment only has to be consistent: the prune uses the tight
+/// point boxes, not the geometric octant boundaries, so floating-point
+/// edge cases at the half-width plane cannot produce a wrong skip.
+inline int OctantOf(const Point& p, const CellKey& k, double width) {
+  const double half = 0.5 * width;
+  int o = 0;
+  if (p.x - static_cast<double>(k.x) * width >= half) o |= 1;
+  if (p.y - static_cast<double>(k.y) * width >= half) o |= 2;
+  if (p.z - static_cast<double>(k.z) * width >= half) o |= 4;
+  return o;
+}
+
+/// key < (x, y, z), lexicographically; 64-bit so that neighbour offsets at
+/// the int32 extremes cannot overflow.
+inline bool KeyBelow(const CellKey& key, std::int64_t x, std::int64_t y,
+                     std::int64_t z) {
+  if (key.x != x) return key.x < x;
+  if (key.y != y) return key.y < y;
+  return key.z < z;
+}
+
+/// Occupied-neighbour table of sorted `keys`, as nine merge joins of the
+/// keys against themselves, one per (dx, dy) column of the 3x3x3
+/// neighbourhood: shifting every key by a constant preserves
+/// lexicographic order, so each column's cursor only moves forward, and
+/// the cells of one column (dz = -1..1) are adjacent in key order. Each
+/// cell's neighbours come out ascending, which is ForEachNeighbor's
+/// (dx, dy, dz) order.
+void JoinNeighbours(const std::vector<CellKey>& keys,
+                    std::vector<std::uint32_t>* begin,
+                    std::vector<std::uint32_t>* nbr) {
+  const std::size_t n = keys.size();
+  begin->resize(n + 1);
+  nbr->clear();
+  std::size_t cursor[9] = {};
+  for (std::size_t c = 0; c < n; ++c) {
+    (*begin)[c] = static_cast<std::uint32_t>(nbr->size());
+    const CellKey& k = keys[c];
+    for (int col = 0; col < 9; ++col) {
+      const std::int64_t x = std::int64_t{k.x} + col / 3 - 1;
+      const std::int64_t y = std::int64_t{k.y} + col % 3 - 1;
+      const std::int64_t z_hi = std::int64_t{k.z} + 1;
+      std::size_t& t = cursor[col];
+      while (t < n && KeyBelow(keys[t], x, y, std::int64_t{k.z} - 1)) ++t;
+      for (std::size_t u = t;
+           u < n && keys[u].x == x && keys[u].y == y && keys[u].z <= z_hi;
+           ++u) {
+        if (u != c) nbr->push_back(static_cast<std::uint32_t>(u));
+      }
+    }
+  }
+  (*begin)[n] = static_cast<std::uint32_t>(nbr->size());
+  nbr->shrink_to_fit();
+}
+
+/// Small cells and key lists from entries sorted by key. A key enters
+/// o_i.L iff its cell holds at least two distinct objects and o_i is one
+/// of them — exactly the membership Algorithm 3 maintains incrementally
+/// (single-object cells contribute nothing to any lower bound). Lists are
+/// filled in cell order, so each is ascending.
+void FillSmallGrid(const std::vector<SmallEntry>& sorted, std::size_t n,
+                   SmallGridData* out) {
+  out->keys.clear();
+  out->bits.clear();
+  out->bits_heap_bytes = 0;
+  out->key_list_begin.assign(n + 1, 0);
+  Ewah bits;  // built here, then copied out at its exact size
+  struct Shared {
+    std::size_t begin, end;  // entry range
+    std::uint32_t cell;
+  };
+  std::vector<Shared> shared;  // cells holding >= 2 objects
+  for (std::size_t s = 0, e = 0; s < sorted.size(); s = e) {
+    e = KeyRunEnd(sorted, s);
+    const auto c = static_cast<std::uint32_t>(out->keys.size());
+    out->keys.push_back(sorted[s].key);
+    bits.Reset();
+    std::size_t distinct = 0;
+    for (std::size_t k = s; k < e; ++k) {
+      if (k > s && sorted[k].obj == sorted[k - 1].obj) continue;
+      bits.Set(sorted[k].obj);
+      ++distinct;
+    }
+    out->bits.push_back(bits);
+    out->bits_heap_bytes += out->bits.back().MemoryUsageBytes();
+    if (distinct < 2) continue;
+    shared.push_back({s, e, c});
+    for (std::size_t k = s; k < e; ++k) {
+      if (k > s && sorted[k].obj == sorted[k - 1].obj) continue;
+      ++out->key_list_begin[sorted[k].obj + 1];
+    }
+  }
+  out->keys.shrink_to_fit();
+  out->bits.shrink_to_fit();
+  for (std::size_t i = 0; i < n; ++i) {
+    out->key_list_begin[i + 1] += out->key_list_begin[i];
+  }
+  out->key_list_cells.resize(out->key_list_begin[n]);
+  std::vector<std::uint32_t> fill(out->key_list_begin.begin(),
+                                  out->key_list_begin.end() - 1);
+  for (const Shared& sh : shared) {
+    for (std::size_t k = sh.begin; k < sh.end; ++k) {
+      if (k > sh.begin && sorted[k].obj == sorted[k - 1].obj) continue;
+      out->key_list_cells[fill[sorted[k].obj]++] = sh.cell;
+    }
+  }
+}
+
+/// The large grid from entries sorted by key (g->point_base already set):
+/// cell bitsets, the CSR posting store, every point's cell index, and the
+/// neighbour table. A cell with at least kOctantMinPoints points first has
+/// its entries stably counting-sorted by octant, so its runs stay
+/// ascending by object id within every octant, and gets its run directory
+/// and tight octant boxes.
+void FillLargeGrid(std::vector<LargeEntry>* entries, const ObjectSet& objs,
+                   LargeGridData* g) {
+  std::vector<LargeEntry>& sorted = *entries;
+  const std::size_t n = sorted.size();
+  const double w = g->width;
+  auto point_of = [&](const LargeEntry& e) -> const Point& {
+    return objs[e.obj].points[e.j];
+  };
+  g->xs.resize(n);
+  g->ys.resize(n);
+  g->zs.resize(n);
+  g->point_cell.assign(g->point_base.back(), kNoCell);
+  g->bits_heap_bytes = 0;
+  Ewah bits;  // built here, then copied out at its exact size
+  std::vector<LargeEntry> reorder;
+  for (std::size_t s = 0, e = 0; s < n; s = e) {
+    e = KeyRunEnd(sorted, s);
+    const CellKey key = sorted[s].key;
+    const auto c = static_cast<std::uint32_t>(g->keys.size());
+    g->keys.push_back(key);
+    bits.Reset();
+    for (std::size_t k = s; k < e; ++k) {
+      if (k > s && sorted[k].obj == sorted[k - 1].obj) continue;
+      bits.Set(sorted[k].obj);
+    }
+    g->bits.push_back(bits);
+    g->bits_heap_bytes += g->bits.back().MemoryUsageBytes();
+    g->cell_runs.push_back(static_cast<std::uint32_t>(g->run_obj.size()));
+
+    const bool octants = e - s >= kOctantMinPoints;
+    std::size_t block = 0;
+    if (octants) {
+      std::array<std::size_t, 9> start{};
+      for (std::size_t k = s; k < e; ++k) {
+        ++start[OctantOf(point_of(sorted[k]), key, w) + 1];
+      }
+      for (int o = 0; o < 8; ++o) start[o + 1] += start[o];
+      reorder.resize(e - s);
+      for (std::size_t k = s; k < e; ++k) {
+        reorder[start[OctantOf(point_of(sorted[k]), key, w)]++] = sorted[k];
+      }
+      std::copy(reorder.begin(), reorder.end(), sorted.begin() + s);
+      block = g->NumOctantCells();
+      g->cell_octants.push_back(static_cast<std::uint32_t>(block));
+      g->oct_runs.resize(g->oct_runs.size() + 9);
+      g->oct_box.resize(g->oct_box.size() + 48, 0.0);
+    } else {
+      g->cell_octants.push_back(kNoCell);
+    }
+
+    int prev_oct = -1;
+    for (std::size_t k = s; k < e; ++k) {
+      const LargeEntry& en = sorted[k];
+      const Point& p = point_of(en);
+      const int o = octants ? OctantOf(p, key, w) : 0;
+      if (k == s || en.obj != sorted[k - 1].obj || o != prev_oct) {
+        const auto q = static_cast<std::uint32_t>(g->run_obj.size());
+        g->run_obj.push_back(en.obj);
+        g->run_start.push_back(static_cast<std::uint32_t>(k));
+        for (int oo = prev_oct + 1; octants && oo <= o; ++oo) {
+          g->oct_runs[block * 9 + static_cast<std::size_t>(oo)] = q;
+        }
+      }
+      g->xs[k] = p.x;
+      g->ys[k] = p.y;
+      g->zs[k] = p.z;
+      g->point_cell[g->point_base[en.obj] + en.j] = c;
+      if (octants) {
+        double* box = &g->oct_box[block * 48 + static_cast<std::size_t>(o) * 6];
+        if (o != prev_oct) {
+          box[0] = box[3] = p.x;
+          box[1] = box[4] = p.y;
+          box[2] = box[5] = p.z;
+        } else {
+          box[0] = std::min(box[0], p.x);
+          box[1] = std::min(box[1], p.y);
+          box[2] = std::min(box[2], p.z);
+          box[3] = std::max(box[3], p.x);
+          box[4] = std::max(box[4], p.y);
+          box[5] = std::max(box[5], p.z);
+        }
+      }
+      prev_oct = o;
+    }
+    for (int oo = prev_oct + 1; octants && oo <= 8; ++oo) {
+      g->oct_runs[block * 9 + static_cast<std::size_t>(oo)] =
+          static_cast<std::uint32_t>(g->run_obj.size());
+    }
+  }
+  g->cell_runs.push_back(static_cast<std::uint32_t>(g->run_obj.size()));
+  g->run_start.push_back(static_cast<std::uint32_t>(n));
+  // Sizes were unknown up front; return the growth slack.
+  g->keys.shrink_to_fit();
+  g->bits.shrink_to_fit();
+  g->cell_runs.shrink_to_fit();
+  g->run_obj.shrink_to_fit();
+  g->run_start.shrink_to_fit();
+  g->cell_octants.shrink_to_fit();
+  g->oct_runs.shrink_to_fit();
+  g->oct_box.shrink_to_fit();
+
+  JoinNeighbours(g->keys, &g->nbr_begin, &g->nbr);
+  g->adj = std::vector<CellAdj>(g->keys.size());
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// LargeCell
+// LargeGridData
 // ---------------------------------------------------------------------------
 
-void LargeCell::AddPostingPoint(ObjectId obj, const Point& p) {
-  if (post_obj.empty() || post_obj.back() != obj) {
-    post_obj.push_back(obj);
-    post_start.push_back(static_cast<std::uint32_t>(post_xs.size()));
-  }
-  post_xs.push_back(p.x);
-  post_ys.push_back(p.y);
-  post_zs.push_back(p.z);
+std::uint32_t LargeGridData::FindCell(const CellKey& k) const {
+  auto it = std::lower_bound(keys.begin(), keys.end(), k);
+  if (it == keys.end() || !(*it == k)) return kNoCell;
+  return static_cast<std::uint32_t>(it - keys.begin());
 }
 
-PostingView LargeCell::PostingAt(std::size_t idx) const {
-  std::uint32_t begin = post_start[idx];
-  std::uint32_t end = idx + 1 < post_start.size()
-                          ? post_start[idx + 1]
-                          : static_cast<std::uint32_t>(post_xs.size());
-  return PostingView{post_xs.data() + begin, post_ys.data() + begin,
-                     post_zs.data() + begin, end - begin};
-}
-
-PostingView LargeCell::Posting(ObjectId obj) const {
-  auto it = std::lower_bound(post_obj.begin(), post_obj.end(), obj);
-  if (it == post_obj.end() || *it != obj) return {};
-  return PostingAt(static_cast<std::size_t>(it - post_obj.begin()));
-}
-
-void LargeCell::PartitionPostings(const CellKey& key, double width,
-                                  std::size_t min_points) {
-  if (partitioned() || post_xs.size() < min_points) return;
-  const std::size_t runs = post_obj.size();
-  const std::size_t pts = post_xs.size();
-  const double half = 0.5 * width;
-  const double base_x = static_cast<double>(key.x) * width;
-  const double base_y = static_cast<double>(key.y) * width;
-  const double base_z = static_cast<double>(key.z) * width;
-
-  // Octant of every point (bit 0/1/2 = upper half along x/y/z). The
-  // assignment only has to be consistent — the prune uses the tight point
-  // boxes below, not the geometric octant boundaries, so floating-point
-  // edge cases at the half-width plane cannot produce a wrong skip.
-  std::vector<std::uint8_t> oct(pts);
-  for (std::size_t p = 0; p < pts; ++p) {
-    std::uint8_t o = 0;
-    if (post_xs[p] - base_x >= half) o |= 1;
-    if (post_ys[p] - base_y >= half) o |= 2;
-    if (post_zs[p] - base_z >= half) o |= 4;
-    oct[p] = o;
-  }
-
-  std::vector<ObjectId> new_obj;
-  std::vector<std::uint32_t> new_start;
-  new_obj.reserve(runs);
-  new_start.reserve(runs);
-  std::vector<double> new_xs, new_ys, new_zs;
-  new_xs.reserve(pts);
-  new_ys.reserve(pts);
-  new_zs.reserve(pts);
-  part_runs.assign(9, 0);
-  part_box.assign(48, 0.0);
-
-  // Emit octants in order; within each octant walk the original runs in
-  // order, so runs stay ascending by object id inside every partition.
-  for (int o = 0; o < 8; ++o) {
-    double* box = &part_box[o * 6];
-    bool box_init = false;
-    for (std::size_t ri = 0; ri < runs; ++ri) {
-      const std::uint32_t begin = post_start[ri];
-      const std::uint32_t end = ri + 1 < runs
-                                    ? post_start[ri + 1]
-                                    : static_cast<std::uint32_t>(pts);
-      bool emitted = false;
-      for (std::uint32_t p = begin; p < end; ++p) {
-        if (oct[p] != o) continue;
-        if (!emitted) {
-          new_obj.push_back(post_obj[ri]);
-          new_start.push_back(static_cast<std::uint32_t>(new_xs.size()));
-          emitted = true;
-        }
-        const double x = post_xs[p], y = post_ys[p], z = post_zs[p];
-        new_xs.push_back(x);
-        new_ys.push_back(y);
-        new_zs.push_back(z);
-        if (!box_init) {
-          box[0] = box[3] = x;
-          box[1] = box[4] = y;
-          box[2] = box[5] = z;
-          box_init = true;
-        } else {
-          box[0] = std::min(box[0], x);
-          box[1] = std::min(box[1], y);
-          box[2] = std::min(box[2], z);
-          box[3] = std::max(box[3], x);
-          box[4] = std::max(box[4], y);
-          box[5] = std::max(box[5], z);
-        }
-      }
-    }
-    part_runs[static_cast<std::size_t>(o) + 1] =
-        static_cast<std::uint32_t>(new_obj.size());
-  }
-
-  post_obj = std::move(new_obj);
-  post_start = std::move(new_start);
-  post_xs = std::move(new_xs);
-  post_ys = std::move(new_ys);
-  post_zs = std::move(new_zs);
-}
-
-std::size_t LargeCell::MemoryUsageBytes() const {
-  return bits.MemoryUsageBytes() + (AdjReady() ? adj.MemoryUsageBytes() : 0) +
-         post_obj.capacity() * sizeof(ObjectId) +
-         post_start.capacity() * sizeof(std::uint32_t) +
-         (post_xs.capacity() + post_ys.capacity() + post_zs.capacity()) *
-             sizeof(double) +
-         part_runs.capacity() * sizeof(std::uint32_t) +
-         part_box.capacity() * sizeof(double);
-}
-
-std::size_t PartitionLargeGridPostings(LargeGridData* grid,
-                                       std::size_t min_points) {
-  std::size_t cells = 0;
-  for (auto& shard : grid->shards) {
-    shard.ForEach([&](const CellKey& key, LargeCell& cell) {
-      if (cell.partitioned()) return;
-      cell.PartitionPostings(key, grid->width, min_points);
-      if (cell.partitioned()) ++cells;
-    });
-  }
-  return cells;
-}
-
-std::size_t LargeGridPostingBytes(const LargeGridData& grid) {
-  std::size_t bytes = 0;
-  for (const auto& shard : grid.shards) {
-    shard.ForEach([&](const CellKey&, const LargeCell& cell) {
-      bytes += cell.post_obj.size() * sizeof(ObjectId) +
-               cell.post_start.size() * sizeof(std::uint32_t) +
-               cell.NumPostingPoints() * 3 * sizeof(double);
-    });
-  }
-  return bytes;
+std::size_t LargeGridData::PostingBytes() const {
+  return run_obj.size() * sizeof(ObjectId) +
+         run_start.size() * sizeof(std::uint32_t) +
+         NumPostingPoints() * 3 * sizeof(double);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,72 +389,10 @@ BiGrid::BiGrid(const ObjectSet& objects, double r, bool planar,
   }
 }
 
-void BiGrid::MapPointSmall(ObjectId i, const Point& p, bool update_key_lists) {
-  CellKey key = KeyForWidth(p, small_width_);
-  SmallCell& cell = small_[ShardOfSmall(key)].GetOrCreate(key);
-  if (cell.last_obj == i && cell.num_objects > 0) return;  // same-object dedup
-  cell.last_obj = i;
-  cell.bits.Set(i);
-  ++cell.num_objects;
-  if (cell.num_objects == 1) {
-    cell.first_obj = i;
-  } else if (update_key_lists) {
-    // Cells holding a single object contribute nothing to any lower bound
-    // (Lemma 1's union minus the object's own bit), so keys enter the key
-    // lists only once a second object arrives — and then retroactively for
-    // the first object too (Algorithm 3 lines 7-10).
-    if (cell.num_objects == 2) key_lists_[cell.first_obj].push_back(key);
-    key_lists_[i].push_back(key);
-  }
-}
-
-void BiGrid::MapPointLarge(ObjectId i, const Point& p) {
-  CellKey key = KeyForWidth(p, large_->width);
-  LargeCell& cell = large_->shards[ShardOfLarge(key)].GetOrCreate(key);
-  if (cell.last_obj != i || cell.post_obj.empty()) {
-    cell.bits.Set(i);
-    cell.last_obj = i;
-  }
-  cell.AddPostingPoint(i, p);
-}
-
 void BiGrid::Build(const LabelSet* labels, bool build_groups,
                    QueryGuard* guard) {
   MIO_TRACE_SPAN_CAT("grid.build", "grid");
-  const ObjectSet& objs = *objects_;
-  const std::size_t n = objs.size();
-  small_.assign(1, SmallMap{});
-  key_lists_.assign(n, {});
-
-  const bool build_large = !reused_large_;
-  if (build_large) {
-    large_->shards.assign(1, LargeMap{});
-    large_->groups.clear();
-    large_->has_groups = false;
-    large_->complete = labels == nullptr;
-  }
-
-  for (ObjectId i = 0; i < n; ++i) {
-    if (guard != nullptr && (i % kGuardStrideObjects) == 0) {
-      if (MIO_FAULT_HIT("alloc.bigrid")) guard->TripResource();
-      if (guard->Poll()) {
-        // Abandoned mid-map: the grid misses points, so it must never be
-        // cached or queried; the engine discards it.
-        large_->complete = false;
-        return;
-      }
-    }
-    const Object& o = objs[i];
-    for (std::size_t j = 0; j < o.points.size(); ++j) {
-      if (labels != nullptr && (labels->Get(i, j) & label::kMap) == 0) {
-        continue;  // Labeling-1: prunable everywhere (Lemma 3)
-      }
-      MapPointSmall(i, o.points[j], /*update_key_lists=*/true);
-      if (build_large) MapPointLarge(i, o.points[j]);
-    }
-  }
-
-  if (build_groups) BuildGroups(labels, /*threads=*/1);
+  BuildWith(1, labels, build_groups, guard);
 }
 
 void BiGrid::BuildParallel(int threads, const LabelSet* labels,
@@ -270,58 +403,92 @@ void BiGrid::BuildParallel(int threads, const LabelSet* labels,
     return;
   }
   MIO_TRACE_SPAN_CAT("grid.build_parallel", "grid");
+  BuildWith(threads, labels, build_groups, guard);
+}
+
+void BiGrid::BuildWith(int threads, const LabelSet* labels, bool build_groups,
+                       QueryGuard* guard) {
   const ObjectSet& objs = *objects_;
   const std::size_t n = objs.size();
-  small_.assign(threads, SmallMap{});
-  key_lists_.assign(n, {});
-
   const bool build_large = !reused_large_;
   if (build_large) {
-    large_->shards.assign(threads, LargeMap{});
-    large_->groups.clear();
-    large_->has_groups = false;
-    large_->complete = labels == nullptr;
+    // Start from an empty block, so a rebuild never appends to old cells.
+    auto fresh = std::make_shared<LargeGridData>();
+    fresh->width = large_->width;
+    fresh->complete = labels == nullptr;
+    large_ = std::move(fresh);
   }
+  LargeGridData& g = *large_;
+  small_.key_list_begin.assign(n + 1, 0);
 
-  // Hash partitioning of points by cell key: thread t exclusively owns
-  // shard t of each grid, so all cell updates are single-writer. Each
-  // thread scans all points and keeps those hashing to its shard; the scan
-  // is duplicated but cheap compared with the hash-map updates.
-#pragma omp parallel num_threads(threads)
+  // Offsets of every object's points (all of them, for the per-point cell
+  // index) and of its mapped points (the entry arrays).
+  auto mapped = [&](ObjectId i, std::size_t j) {
+    return labels == nullptr || (labels->Get(i, j) & label::kMap) != 0;
+  };
+  std::vector<std::uint32_t> point_base(n + 1, 0);
+  std::vector<std::uint32_t> entry_base(n + 1, 0);
+  for (ObjectId i = 0; i < n; ++i) {
+    const std::size_t m = objs[i].points.size();
+    std::size_t kept = m;
+    if (labels != nullptr) {
+      kept = 0;
+      for (std::size_t j = 0; j < m; ++j) kept += mapped(i, j) ? 1 : 0;
+    }
+    point_base[i + 1] = point_base[i] + static_cast<std::uint32_t>(m);
+    entry_base[i + 1] = entry_base[i] + static_cast<std::uint32_t>(kept);
+  }
+  const std::size_t num_entries = entry_base[n];
+
+  // Cell keys of every mapped point, object-parallel. Labeling-1 points
+  // (cleared kMap) are skipped entirely (Lemma 3).
+  std::vector<SmallEntry> small(num_entries);
+  std::vector<LargeEntry> large(build_large ? num_entries : 0);
   {
-    MIO_TRACE_SPAN_CAT("grid.map.worker", "grid");
-    std::size_t t = static_cast<std::size_t>(ThreadId());
+    MIO_TRACE_SPAN_CAT("grid.map.keys", "grid");
+#pragma omp parallel for schedule(static) num_threads(threads) if (threads > 1)
     for (ObjectId i = 0; i < n; ++i) {
-      if (guard != nullptr && (i % kGuardStrideObjects) == 0) {
-        if (t == 0 && MIO_FAULT_HIT("alloc.bigrid")) guard->TripResource();
-        if (guard->Poll()) break;  // each worker drains independently
+      if (guard != nullptr) {
+        if ((i % kGuardStrideObjects) == 0) {
+          if (ThreadId() == 0 && MIO_FAULT_HIT("alloc.bigrid")) {
+            guard->TripResource();
+          }
+          guard->Poll();
+        }
+        if (guard->tripped()) continue;  // workers drain at one load each
       }
       const Object& o = objs[i];
+      std::size_t at = entry_base[i];
       for (std::size_t j = 0; j < o.points.size(); ++j) {
-        if (labels != nullptr && (labels->Get(i, j) & label::kMap) == 0) {
-          continue;
-        }
+        if (!mapped(i, j)) continue;
         const Point& p = o.points[j];
-        CellKey ks = KeyForWidth(p, small_width_);
-        if (CellKeyHash{}(ks) % small_.size() == t) {
-          MapPointSmall(i, p, /*update_key_lists=*/false);
-        }
+        small[at] = SmallEntry{KeyForWidth(p, small_width_), i};
         if (build_large) {
-          CellKey kl = KeyForWidth(p, large_->width);
-          if (CellKeyHash{}(kl) % large_->shards.size() == t) {
-            MapPointLarge(i, p);
-          }
+          large[at] = LargeEntry{KeyForWidth(p, g.width), i,
+                                 static_cast<std::uint32_t>(j)};
         }
+        ++at;
       }
     }
   }
-
   if (guard != nullptr && guard->tripped()) {
-    large_->complete = false;  // partial map: never cache or query
+    // Abandoned mid-map: the grid misses points, so it must never be
+    // cached or queried; the engine discards it.
+    if (build_large) g.complete = false;
     return;
   }
 
-  DeriveKeyListsFromCells(threads);
+  {
+    MIO_TRACE_SPAN_CAT("grid.map.small", "grid");
+    SortByCellKey(&small, threads);
+    FillSmallGrid(small, n, &small_);
+  }
+  if (build_large) {
+    MIO_TRACE_SPAN_CAT("grid.map.large", "grid");
+    SortByCellKey(&large, threads);
+    g.point_base = std::move(point_base);
+    FillLargeGrid(&large, objs, &g);
+  }
 
   if (build_groups) BuildGroups(labels, threads);
 }
@@ -332,20 +499,45 @@ void BiGrid::BuildGroups(const LabelSet* labels, int threads) {
   // needs label-filtered groups matching its cell population.
   const LabelSet* group_labels = reused_large_ ? nullptr : labels;
   const std::size_t n = objects_->size();
+  LargeGridData& g = *large_;
   auto build = [&] {
-    large_->groups.assign(n, {});
-    if (threads <= 1) {
-      for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i, group_labels);
-    } else {
-#pragma omp parallel for schedule(dynamic, 16) num_threads(threads)
-      for (ObjectId i = 0; i < n; ++i) BuildGroupsFor(i, group_labels);
+    g.groups.assign(n, {});
+#pragma omp parallel num_threads(threads) if (threads > 1)
+    {
+      // Group slot of each cell for the object being grouped; reset after
+      // every object, so groups keep first-appearance order.
+      std::vector<std::uint32_t> slot(g.NumCells(), kNoCell);
+#pragma omp for schedule(dynamic, 16)
+      for (ObjectId i = 0; i < n; ++i) {
+        const Object& o = (*objects_)[i];
+        std::vector<PointGroup>& groups = g.groups[i];
+        for (std::size_t j = 0; j < o.points.size(); ++j) {
+          if (group_labels != nullptr &&
+              (group_labels->Get(i, j) & label::kMap) == 0) {
+            continue;
+          }
+          const std::uint32_t cell = g.point_cell[g.point_base[i] + j];
+          std::uint32_t& s = slot[cell];
+          if (s == kNoCell) {
+            s = static_cast<std::uint32_t>(groups.size());
+            groups.push_back(PointGroup{cell, {}});
+          }
+          groups[s].point_idx.push_back(static_cast<std::uint32_t>(j));
+        }
+        for (const PointGroup& grp : groups) slot[grp.cell] = kNoCell;
+      }
     }
-    large_->MarkGroupsReady();
+    std::size_t bytes = VecBytes(g.groups);
+    for (const auto& groups : g.groups) {
+      bytes += VecBytes(groups);
+      for (const PointGroup& grp : groups) bytes += VecBytes(grp.point_idx);
+    }
+    g.groups_bytes = bytes;
+    g.MarkGroupsReady();
   };
   if (!reused_large_) {
     // Freshly built grid: exclusively owned until the engine caches it, so
-    // no lock is needed (and none of its cells are visible to other
-    // queries yet).
+    // no lock is needed.
     build();
     return;
   }
@@ -357,80 +549,36 @@ void BiGrid::BuildGroups(const LabelSet* labels, int threads) {
   build();
 }
 
-void BiGrid::DeriveKeyListsFromCells(int threads) {
-  // Post-pass equivalent of the incremental key-list maintenance: a key
-  // belongs to o_i.L iff its small cell holds >= 2 distinct objects and
-  // o_i is one of them — exactly the membership Algorithm 3 arrives at.
-  std::vector<std::vector<std::pair<ObjectId, CellKey>>> local(
-      static_cast<std::size_t>(threads));
-#pragma omp parallel num_threads(threads)
-  {
-    std::size_t t = static_cast<std::size_t>(ThreadId());
-    auto& buf = local[t];
-    for (std::size_t s = t; s < small_.size();
-         s += static_cast<std::size_t>(threads)) {
-      small_[s].ForEach([&](const CellKey& key, SmallCell& cell) {
-        if (cell.num_objects < 2) return;
-        cell.bits.ForEachSetBit([&](std::size_t obj) {
-          buf.emplace_back(static_cast<ObjectId>(obj), key);
-        });
-      });
-    }
-  }
-  for (const auto& buf : local) {
-    for (const auto& [obj, key] : buf) key_lists_[obj].push_back(key);
-  }
-}
-
-void BiGrid::BuildGroupsFor(ObjectId i, const LabelSet* labels) {
-  const Object& o = (*objects_)[i];
-  auto& groups = large_->groups[i];
-  std::unordered_map<CellKey, std::size_t, CellKeyHash> index;
-  for (std::size_t j = 0; j < o.points.size(); ++j) {
-    if (labels != nullptr && (labels->Get(i, j) & label::kMap) == 0) continue;
-    CellKey key = KeyForWidth(o.points[j], large_->width);
-    auto [it, inserted] = index.emplace(key, groups.size());
-    if (inserted) groups.push_back(PointGroup{key, {}});
-    groups[it->second].point_idx.push_back(static_cast<std::uint32_t>(j));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Lookup
 // ---------------------------------------------------------------------------
 
-const SmallCell* BiGrid::FindSmall(const CellKey& k) const {
-  return small_[ShardOfSmall(k)].Find(k);
+std::uint32_t BiGrid::FindSmallCell(const CellKey& k) const {
+  auto it = std::lower_bound(small_.keys.begin(), small_.keys.end(), k);
+  if (it == small_.keys.end() || !(*it == k)) return kNoCell;
+  return static_cast<std::uint32_t>(it - small_.keys.begin());
 }
 
-const LargeCell* BiGrid::FindLarge(const CellKey& k) const {
-  return large_->shards[ShardOfLarge(k)].Find(k);
-}
-
-LargeCell* BiGrid::FindLarge(const CellKey& k) {
-  return large_->shards[ShardOfLarge(k)].Find(k);
-}
-
-LargeCell& BiGrid::EnsureAdj(const CellKey& k) {
-  LargeCell& cell = *FindLarge(k);
-  if (cell.AdjReady()) return cell;
+const CellAdj& BiGrid::EnsureAdj(std::uint32_t c) {
+  LargeGridData& g = *large_;
+  CellAdj& a = g.adj[c];
+  if (a.Ready()) return a;
   // Double-checked locking: a cached grid's cells are shared across
   // concurrently running queries, so two of them may race to memoise the
   // same union. The stripe lock makes exactly one of them build; the
-  // release store in the flag (inside AdjReady/below) publishes
-  // adj/adj_count to the losers' acquire loads.
-  std::lock_guard<std::mutex> lock(StripeFor(&cell));
-  if (cell.AdjReady()) return cell;
+  // release store of the flag publishes bits/count to the losers'
+  // acquire loads.
+  std::lock_guard<std::mutex> lock(StripeFor(&a));
+  if (a.Ready()) return a;
   obs::Add(obs::Counter::kAdjBuilds);
-  Ewah acc = cell.bits;
-  ForEachNeighbor(k, /*include_self=*/false, [&](const CellKey& nk) {
-    if (const LargeCell* nc = FindLarge(nk)) acc.OrWith(nc->bits);
-  });
-  cell.adj = std::move(acc);
-  cell.adj_count = static_cast<std::uint32_t>(cell.adj.Count());
-  std::atomic_ref<bool>(cell.adj_computed)
-      .store(true, std::memory_order_release);
-  return cell;
+  Ewah acc = g.bits[c];
+  for (std::uint32_t nb : g.Neighbors(c)) acc.OrWith(g.bits[nb]);
+  a.bits = std::move(acc);
+  a.count = static_cast<std::uint32_t>(a.bits.Count());
+  g.adj_heap_bytes.fetch_add(a.bits.MemoryUsageBytes(),
+                             std::memory_order_relaxed);
+  std::atomic_ref<std::uint8_t>(a.ready).store(1, std::memory_order_release);
+  return a;
 }
 
 // ---------------------------------------------------------------------------
@@ -439,54 +587,33 @@ LargeCell& BiGrid::EnsureAdj(const CellKey& k) {
 
 MemoryBreakdown BiGrid::MemoryUsage() const {
   MemoryBreakdown mb;
-  std::size_t small_bytes = 0;
-  for (const auto& shard : small_) {
-    small_bytes += shard.TableBytes();
-    shard.ForEach([&](const CellKey&, const SmallCell& cell) {
-      small_bytes += cell.bits.MemoryUsageBytes();
-    });
-  }
-  mb.Add("small_grid", small_bytes);
+  mb.Add("small_grid", VecBytes(small_.keys) + VecBytes(small_.bits) +
+                           small_.bits_heap_bytes);
 
-  std::size_t large_bytes = 0;
-  for (const auto& shard : large_->shards) {
-    large_bytes += shard.TableBytes();
-    shard.ForEach([&](const CellKey&, const LargeCell& cell) {
-      large_bytes += cell.MemoryUsageBytes();
-    });
-  }
-  mb.Add("large_grid", large_bytes);
+  const LargeGridData& g = *large_;
+  mb.Add("large_grid",
+         VecBytes(g.keys) + VecBytes(g.bits) + g.bits_heap_bytes +
+             VecBytes(g.cell_runs) + VecBytes(g.run_obj) +
+             VecBytes(g.run_start) + VecBytes(g.xs) + VecBytes(g.ys) +
+             VecBytes(g.zs) + VecBytes(g.cell_octants) + VecBytes(g.oct_runs) +
+             VecBytes(g.oct_box) + VecBytes(g.nbr_begin) + VecBytes(g.nbr) +
+             VecBytes(g.point_base) + VecBytes(g.point_cell) +
+             VecBytes(g.adj) +
+             g.adj_heap_bytes.load(std::memory_order_relaxed));
 
-  std::size_t kl_bytes = key_lists_.capacity() * sizeof(std::vector<CellKey>);
-  for (const auto& kl : key_lists_) kl_bytes += kl.capacity() * sizeof(CellKey);
-  mb.Add("key_lists", kl_bytes);
+  mb.Add("key_lists", VecBytes(small_.key_list_begin) +
+                          VecBytes(small_.key_list_cells));
 
-  if (large_->GroupsReady()) {
-    std::size_t g_bytes =
-        large_->groups.capacity() * sizeof(std::vector<PointGroup>);
-    for (const auto& groups : large_->groups) {
-      g_bytes += groups.capacity() * sizeof(PointGroup);
-      for (const auto& g : groups) {
-        g_bytes += g.point_idx.capacity() * sizeof(std::uint32_t);
-      }
-    }
-    mb.Add("point_groups", g_bytes);
-  }
+  if (g.GroupsReady()) mb.Add("point_groups", g.groups_bytes);
   return mb;
 }
 
 BitsetCompressionStats BiGrid::CompressionStats() const {
   BitsetCompressionStats stats;
-  for (const auto& shard : small_) {
-    shard.ForEach([&](const CellKey&, const SmallCell& cell) {
-      stats.Add(cell.bits);
-    });
-  }
-  for (const auto& shard : large_->shards) {
-    shard.ForEach([&](const CellKey&, const LargeCell& cell) {
-      stats.Add(cell.bits);
-      if (cell.AdjReady()) stats.Add(cell.adj);
-    });
+  for (const Ewah& bits : small_.bits) stats.Add(bits);
+  for (const Ewah& bits : large_->bits) stats.Add(bits);
+  for (const CellAdj& a : large_->adj) {
+    if (a.Ready()) stats.Add(a.bits);
   }
   return stats;
 }

@@ -1,5 +1,5 @@
 // BIGrid (paper §III-A): the hybrid of compressed Bitsets, Inverted lists
-// and spatial Grids. Two uniform hash grids are built online per query:
+// and spatial Grids. Two uniform grids are built online per query:
 //
 //   small grid  — cell width r/sqrt(3) (r/sqrt(2) for planar data); each
 //     cell holds one compressed bitset b(c) of the objects with a point in
@@ -12,9 +12,16 @@
 //     cell must lie in the 27-cell neighbourhood, so the large grid drives
 //     upper-bounding and verification.
 //
-// Cells are created on demand (no empty cells), every point maps to
-// exactly one cell per grid (no replication), and each build operation is
-// O(1) amortised — GRID-MAPPING is O(nm) (paper Algorithm 3).
+// Layout: both grids are flat arrays built by sorting the mapped points on
+// their cell key (a stable radix sort, so equal keys keep the ascending
+// object/point order Algorithm 3 maps them in). Cells are the distinct
+// keys in lexicographic order and are addressed by index from then on:
+// key lists hold small-cell indices, every point records its large-cell
+// index, and each large cell carries its occupied neighbours as indices,
+// found by nine merge-join passes over the sorted keys. No phase after
+// grid mapping probes a hash table. Cells exist only where points fall (no
+// empty cells) and every point maps to exactly one cell per grid (no
+// replication); mapping is O(nm) plus the linear-time radix sort.
 //
 // Because the large grid depends only on ceil(r) (the observation behind
 // the paper's label mechanism, §III-D), it is held in a shareable
@@ -22,20 +29,21 @@
 // b_adj bitsets and the P_{i,K} groups — and reuse it verbatim for every
 // later query with the same ceiling, skipping half of grid mapping and
 // all first-touch neighbourhood unions. This grid reuse is an engineering
-// extension of the paper's "leveraging previous results" idea.
+// extension of the paper's "leveraging previous results" idea. Apart from
+// those two lazily memoised parts (each behind a stripe lock), a built
+// LargeGridData is immutable, so sharing it across concurrent queries and
+// batches needs no further care.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "bitset/bitset_stats.hpp"
 #include "bitset/ewah.hpp"
-#include "common/flat_hash_map.hpp"
 #include "common/memory_tracker.hpp"
 #include "core/labels.hpp"
 #include "geo/cell_key.hpp"
@@ -45,21 +53,15 @@ namespace mio {
 
 class QueryGuard;  // common/guardrails.hpp
 
-/// One small-grid cell: the compressed bitset plus the build-time
-/// bookkeeping that feeds the key lists (Algorithm 3 lines 5-13).
-struct SmallCell {
-  Ewah bits;
-  /// First object mapped into the cell; when a second distinct object
-  /// arrives, this one retroactively receives the key in its key list.
-  ObjectId first_obj = 0;
-  /// Last object that touched the cell (dedups same-object points: the
-  /// build iterates objects in ascending id order).
-  ObjectId last_obj = static_cast<ObjectId>(-1);
-  /// Number of distinct objects in the cell (|b| without a popcount).
-  std::uint32_t num_objects = 0;
-};
+/// Index value meaning "no cell" (an unmapped point, an absent key).
+inline constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
 
-/// Structure-of-arrays view over one posting list: three parallel
+/// Large cells with at least this many posting points are laid out by
+/// octant (see LargeGridData); smaller ones keep one run per object, since
+/// the octant directory would cost more than the scan it prunes.
+inline constexpr std::size_t kOctantMinPoints = 32;
+
+/// Structure-of-arrays view over one posting run: three parallel
 /// coordinate spans, consumable directly by the batch kernels
 /// (geo/kernels.hpp) with zero pointer chasing.
 struct PostingView {
@@ -72,91 +74,14 @@ struct PostingView {
   Point operator[](std::size_t i) const { return Point{xs[i], ys[i], zs[i]}; }
 };
 
-/// One large-grid cell: bitset, lazy neighbourhood bitset, and the
-/// inverted list I(c) stored as postings grouped by object id (ascending,
-/// because the build visits objects in id order). Posting coordinates are
-/// kept structure-of-arrays (contiguous xs/ys/zs) so verification's inner
-/// loop is one batch-kernel call per (point, candidate-object) pair.
-///
-/// Two-level layout (batch execution): PartitionPostings rewrites the
-/// postings grouped by the octant (2x2x2 sub-cell) their point falls in,
-/// with `part_runs` as a 9-entry run-offset directory and `part_box` the
-/// tight per-octant point bounding boxes. Candidate scans then skip whole
-/// octants whose box lies farther than r from the probe point, so only
-/// the relevant partition's SoA spans are handed to the kernels. Within
-/// one octant, runs stay ordered by ascending object id; an object may
-/// own up to eight runs (one per occupied octant).
-struct LargeCell {
-  Ewah bits;
-
-  Ewah adj;                      ///< b_adj(c); valid iff adj_computed
-  bool adj_computed = false;
-  std::uint32_t adj_count = 0;   ///< |b_adj(c)| memoised for Labeling-1
-
-  /// Acquire-load of adj_computed. Cells of a cached large grid are
-  /// shared across concurrently running queries, and b_adj is memoised
-  /// lazily: EnsureAdj release-stores the flag only after adj/adj_count
-  /// are fully written, so a reader that observes true may use them
-  /// without further synchronisation. Every cross-query read of
-  /// adj_computed must go through this (a plain read races the store).
-  bool AdjReady() const {
-    return std::atomic_ref<const bool>(adj_computed)
-        .load(std::memory_order_acquire);
-  }
-
-  ObjectId last_obj = static_cast<ObjectId>(-1);
-
-  std::vector<ObjectId> post_obj;        ///< object ids (ascending per level)
-  std::vector<std::uint32_t> post_start; ///< post_obj-parallel offsets
-  std::vector<double> post_xs;           ///< concatenated posting xs
-  std::vector<double> post_ys;           ///< concatenated posting ys
-  std::vector<double> post_zs;           ///< concatenated posting zs
-
-  /// Two-level offset directory: when non-empty (always 9 entries), runs
-  /// [part_runs[o], part_runs[o+1]) of post_obj belong to octant o.
-  /// Empty = flat single-level layout.
-  std::vector<std::uint32_t> part_runs;
-  /// part_runs-parallel tight AABBs, 6 doubles per octant
-  /// (minx,miny,minz,maxx,maxy,maxz); only octants with runs are valid.
-  /// Tight point boxes (not geometric octant boxes) make the distance
-  /// prune exact: a skipped octant provably holds no point within r.
-  std::vector<double> part_box;
-
-  bool partitioned() const { return !part_runs.empty(); }
-
-  /// Appends a point to object `obj`'s posting (obj must be >= the last
-  /// object added — the ascending build order). Flat layout only.
-  void AddPostingPoint(ObjectId obj, const Point& p);
-
-  /// Posting list I(c)[obj], empty when the object has no points here.
-  /// Flat layout only: a partitioned cell may hold several runs per
-  /// object, so callers must iterate runs via part_runs/PostingAt.
-  PostingView Posting(ObjectId obj) const;
-
-  /// Posting list of post_obj[idx] (no binary search). Valid in both
-  /// layouts — a partitioned cell's idx just names one octant-level run.
-  PostingView PostingAt(std::size_t idx) const;
-
-  /// Total points stored across all postings.
-  std::size_t NumPostingPoints() const { return post_xs.size(); }
-
-  /// Rewrites the postings into the two-level octant layout. Idempotent;
-  /// cells with fewer than `min_points` points keep the flat layout (the
-  /// directory would cost more than the scan it prunes). Must not run
-  /// concurrently with readers of this cell.
-  void PartitionPostings(const CellKey& key, double width,
-                         std::size_t min_points);
-
-  std::size_t MemoryUsageBytes() const;
-};
-
-/// Squared distance from p to octant o's point bounding box in
-/// `part_box` (0 when p is inside). Exact prune for the two-level scan:
-/// every point of the octant lies inside its box by construction, so
-/// MinDist2 > r^2 implies no point of the octant is within r of p.
-inline double MinDist2ToOctantBox(const Point& p, const double* part_box,
+/// Squared distance from p to octant o's point bounding box in `boxes`
+/// (48 doubles: minx,miny,minz,maxx,maxy,maxz per octant; 0 when p is
+/// inside). Exact prune for the octant scan: every point of the octant lies
+/// inside its box by construction, so MinDist2 > r^2 implies no point of
+/// the octant is within r of p.
+inline double MinDist2ToOctantBox(const Point& p, const double* boxes,
                                   int octant) {
-  const double* box = part_box + octant * 6;
+  const double* box = boxes + octant * 6;
   double d2 = 0.0;
   double d = box[0] - p.x;
   if (d < 0.0) d = p.x - box[3];
@@ -170,70 +95,104 @@ inline double MinDist2ToOctantBox(const Point& p, const double* part_box,
   return d2;
 }
 
-/// Per-object grouping of points by large-grid key (paper §IV: P_{i,K}),
-/// the unit of the cost-based parallel partitioning.
+/// Lazily memoised neighbourhood union b_adj(c) of one large cell.
+struct CellAdj {
+  Ewah bits;                ///< b_adj(c); valid once Ready()
+  std::uint32_t count = 0;  ///< |b_adj(c)|, memoised for Labeling-1
+  std::uint8_t ready = 0;
+
+  /// Acquire-load of the ready flag. Cells of a cached large grid are
+  /// shared across concurrently running queries and b_adj is memoised
+  /// lazily: BiGrid::EnsureAdj release-stores the flag only after bits and
+  /// count are fully written, so a reader that observes true may use them
+  /// without further synchronisation. Every cross-query read of the flag
+  /// must go through this (a plain read races the store).
+  bool Ready() const {
+    return std::atomic_ref<const std::uint8_t>(ready).load(
+               std::memory_order_acquire) != 0;
+  }
+};
+
+/// Per-object grouping of points by large cell (paper §IV: P_{i,K}), the
+/// unit of the cost-based parallel partitioning.
 struct PointGroup {
-  CellKey key;
+  std::uint32_t cell = kNoCell;  ///< large-cell index
   std::vector<std::uint32_t> point_idx;
 };
 
-/// One grid shard: a flat open-addressing index (16-byte slots, cheap to
-/// probe and to rehash) pointing into a stable deque pool of cells (fat
-/// structs never move, so rehashing never copies them and cell pointers
-/// stay valid across inserts).
-template <typename Cell>
-struct CellShard {
-  // Slot values are index+1; 0 means absent.
-  FlatHashMap<CellKey, std::uint32_t, CellKeyHash> index;
-  std::deque<Cell> cells;
-
-  Cell& GetOrCreate(const CellKey& k) {
-    std::uint32_t& slot = index[k];
-    if (slot == 0) {
-      cells.emplace_back();
-      slot = static_cast<std::uint32_t>(cells.size());
-    }
-    return cells[slot - 1];
-  }
-  Cell* Find(const CellKey& k) {
-    std::uint32_t* slot = index.Find(k);
-    return (slot != nullptr && *slot != 0) ? &cells[*slot - 1] : nullptr;
-  }
-  const Cell* Find(const CellKey& k) const {
-    const std::uint32_t* slot = index.Find(k);
-    return (slot != nullptr && *slot != 0) ? &cells[*slot - 1] : nullptr;
-  }
-  std::size_t size() const { return cells.size(); }
-  template <typename F>
-  void ForEach(F&& f) {
-    index.ForEach(
-        [&](const CellKey& k, std::uint32_t slot) { f(k, cells[slot - 1]); });
-  }
-  template <typename F>
-  void ForEach(F&& f) const {
-    index.ForEach([&](const CellKey& k, std::uint32_t slot) {
-      f(k, static_cast<const Cell&>(cells[slot - 1]));
-    });
-  }
-  std::size_t TableBytes() const {
-    return index.TableBytes() + cells.size() * sizeof(Cell);
-  }
-};
-
 /// The shareable half of a BIGrid: everything that depends only on
-/// ceil(r) — the large-grid cells (with their lazily memoised b_adj) and
-/// the per-object P_{i,K} groups. `complete` marks grids built from every
-/// point (no label pruning); only complete grids may be cached, since a
-/// labelled build omits points and its groups reference fewer cells.
+/// ceil(r). Cells are in ascending key order; cell c owns posting runs
+/// [cell_runs[c], cell_runs[c+1]) and run q owns posting points
+/// [run_start[q], run_start[q+1]) of xs/ys/zs.
+///
+/// Within a cell, runs are ordered by ascending object id, one run per
+/// object, and each run's points keep the objects' point order. A cell
+/// with at least kOctantMinPoints points is instead laid out by octant
+/// (2x2x2 sub-cell): `cell_octants[c]` names its block in `oct_runs` (9
+/// absolute run offsets, octant o = [oct_runs[9b+o], oct_runs[9b+o+1]))
+/// and `oct_box` (48 doubles: the tight point box of each octant), runs
+/// ascending by object id within each octant, so an object may own up to
+/// eight runs. Scans skip whole octants whose box lies farther than r.
+///
+/// `complete` marks grids built from every point (no label pruning); only
+/// complete grids may be cached, since a labelled build omits points.
 struct LargeGridData {
   double width = 0.0;
-  std::vector<CellShard<LargeCell>> shards;
+
+  std::vector<CellKey> keys;          ///< cell keys, ascending
+  std::vector<Ewah> bits;             ///< b(c)
+  std::vector<std::uint32_t> cell_runs;  ///< C+1 offsets into run_*
+  std::vector<ObjectId> run_obj;         ///< object of each run
+  std::vector<std::uint32_t> run_start;  ///< R+1 offsets into xs/ys/zs
+  std::vector<double> xs, ys, zs;        ///< posting coordinates (SoA)
+
+  std::vector<std::uint32_t> cell_octants;  ///< octant block or kNoCell
+  std::vector<std::uint32_t> oct_runs;      ///< 9 run offsets per block
+  std::vector<double> oct_box;              ///< 48 doubles per block
+
+  /// Occupied neighbours of cell c (excluding c), ascending — which is
+  /// ForEachNeighbor's order: nbr[nbr_begin[c] .. nbr_begin[c+1]).
+  std::vector<std::uint32_t> nbr_begin;
+  std::vector<std::uint32_t> nbr;
+
+  /// Large cell of every point: point (i, j) is entry point_base[i] + j;
+  /// kNoCell for points a labelled build skipped.
+  std::vector<std::uint32_t> point_base;
+  std::vector<std::uint32_t> point_cell;
+
+  std::vector<CellAdj> adj;  ///< lazily memoised b_adj, one per cell
   std::vector<std::vector<PointGroup>> groups;
   bool has_groups = false;
   bool complete = false;
 
-  /// Acquire-load of has_groups. Like LargeCell::AdjReady: a cached grid
-  /// is shared across concurrent queries and the P_{i,K} groups are built
+  /// Heap bytes of `bits` (fixed at build) and of memoised `adj` bitsets
+  /// and groups (grown as they are memoised), so MemoryUsage never walks
+  /// the cells.
+  std::size_t bits_heap_bytes = 0;
+  std::atomic<std::size_t> adj_heap_bytes{0};
+  std::size_t groups_bytes = 0;
+
+  std::size_t NumCells() const { return keys.size(); }
+  std::size_t NumPostingPoints() const { return xs.size(); }
+  std::size_t NumOctantCells() const { return oct_runs.size() / 9; }
+
+  PostingView PostingAt(std::size_t run) const {
+    const std::uint32_t b = run_start[run];
+    return PostingView{xs.data() + b, ys.data() + b, zs.data() + b,
+                       run_start[run + 1] - b};
+  }
+  std::span<const std::uint32_t> Neighbors(std::uint32_t c) const {
+    return {nbr.data() + nbr_begin[c], nbr.data() + nbr_begin[c + 1]};
+  }
+  /// Index of the cell with key k (binary search), or kNoCell.
+  std::uint32_t FindCell(const CellKey& k) const;
+
+  /// Bytes held by the posting arrays — the payload a batch class shares
+  /// instead of rebuilding per member.
+  std::size_t PostingBytes() const;
+
+  /// Acquire-load of has_groups. Like CellAdj::Ready: a cached grid is
+  /// shared across concurrent queries and the P_{i,K} groups are built
   /// lazily by the first query that needs them (under the grid's stripe
   /// lock); the flag is release-stored after the groups are complete, so
   /// observing true licenses lock-free reads of `groups`.
@@ -246,17 +205,16 @@ struct LargeGridData {
   }
 };
 
-/// Rewrites every large cell with >= `min_points` posting points into the
-/// two-level octant layout (see LargeCell::PartitionPostings). Returns the
-/// number of cells partitioned by this call (already-partitioned cells
-/// are skipped). Used by QueryBatch on class grids shared across batch
-/// members; must not run concurrently with queries reading the grid.
-std::size_t PartitionLargeGridPostings(LargeGridData* grid,
-                                       std::size_t min_points);
-
-/// Bytes held by the SoA posting arrays across all cells of the grid —
-/// the payload a batch class shares instead of rebuilding per member.
-std::size_t LargeGridPostingBytes(const LargeGridData& grid);
+/// The per-query small grid: cells in ascending key order with their
+/// bitsets b(c), and the key lists as CSR over objects (o_i.L is
+/// key_list_cells[key_list_begin[i] .. key_list_begin[i+1])).
+struct SmallGridData {
+  std::vector<CellKey> keys;
+  std::vector<Ewah> bits;
+  std::size_t bits_heap_bytes = 0;  ///< heap bytes of `bits`
+  std::vector<std::uint32_t> key_list_begin;
+  std::vector<std::uint32_t> key_list_cells;
+};
 
 /// The BIGrid index for one query threshold r over one object collection.
 class BiGrid {
@@ -280,10 +238,9 @@ class BiGrid {
   void Build(const LabelSet* labels = nullptr, bool build_groups = false,
              QueryGuard* guard = nullptr);
 
-  /// Hash-partitioned parallel build (paper §IV, PARALLEL-GRID-MAPPING):
-  /// each thread owns the cells whose key hashes to it, so no cell is
-  /// written by two threads; the key lists are derived in a post-pass,
-  /// which yields exactly the sets Algorithm 3 builds incrementally.
+  /// Parallel build (paper §IV, PARALLEL-GRID-MAPPING): cell keys are
+  /// computed and radix-sorted by `threads` workers; the result is the
+  /// same layout Build produces.
   void BuildParallel(int threads, const LabelSet* labels = nullptr,
                      bool build_groups = false, QueryGuard* guard = nullptr);
 
@@ -292,28 +249,40 @@ class BiGrid {
   double small_width() const { return small_width_; }
   double large_width() const { return large_->width; }
 
-  const SmallCell* FindSmall(const CellKey& k) const;
-  const LargeCell* FindLarge(const CellKey& k) const;
-  LargeCell* FindLarge(const CellKey& k);
+  // --- Small grid -------------------------------------------------------
+  std::size_t NumSmallCells() const { return small_.keys.size(); }
+  const CellKey& SmallKey(std::uint32_t c) const { return small_.keys[c]; }
+  const Ewah& SmallBits(std::uint32_t c) const { return small_.bits[c]; }
+  /// Index of the small cell with key k (binary search), or kNoCell.
+  std::uint32_t FindSmallCell(const CellKey& k) const;
 
-  /// o_i.L — small-grid keys of cells shared with at least one other
-  /// object (exactly the cells that contribute to the lower bound).
-  const std::vector<CellKey>& KeyList(ObjectId i) const {
-    return key_lists_[i];
+  /// o_i.L — small cells shared with at least one other object (exactly
+  /// the cells that contribute to the lower bound), as cell indices.
+  std::span<const std::uint32_t> KeyList(ObjectId i) const {
+    return {small_.key_list_cells.data() + small_.key_list_begin[i],
+            small_.key_list_cells.data() + small_.key_list_begin[i + 1]};
   }
+
+  // --- Large grid -------------------------------------------------------
+  const LargeGridData& large() const { return *large_; }
+  std::size_t NumLargeCells() const { return large_->NumCells(); }
+  /// Large cell of point j of object i (kNoCell if the build skipped it).
+  std::uint32_t LargeCellOf(ObjectId i, std::size_t j) const {
+    return large_->point_cell[large_->point_base[i] + j];
+  }
+
+  /// Computes (memoises) b_adj of large cell c. Thread-safe, including
+  /// against other BiGrids sharing this cell via a cached LargeGridData:
+  /// the memoised path is one acquire load, and builders serialise on a
+  /// per-cell stripe lock (double-checked), so a cell's union is computed
+  /// exactly once across all concurrent readers.
+  const CellAdj& EnsureAdj(std::uint32_t c);
 
   /// P_{i,K} groups; only populated when built with build_groups.
   const std::vector<PointGroup>& LargeGroups(ObjectId i) const {
     return large_->groups[i];
   }
   bool has_groups() const { return large_->GroupsReady(); }
-
-  /// Computes (memoises) b_adj of the cell with key k; returns the cell.
-  /// Thread-safe, including against other BiGrids sharing this cell via a
-  /// cached LargeGridData: the memoised path is one acquire load, and
-  /// builders serialise on a per-cell stripe lock (double-checked), so a
-  /// cell's union is computed exactly once across all concurrent readers.
-  LargeCell& EnsureAdj(const CellKey& k);
 
   /// Shares the ceil(r)-dependent half for reuse by later queries with
   /// the same ceiling (includes memoised b_adj and groups).
@@ -323,67 +292,30 @@ class BiGrid {
   /// True when this index adopted a cached large grid.
   bool reused_large_grid() const { return reused_large_; }
 
-  std::size_t NumSmallCells() const {
-    std::size_t n = 0;
-    for (const auto& shard : small_) n += shard.size();
-    return n;
-  }
-  std::size_t NumLargeCells() const {
-    std::size_t n = 0;
-    for (const auto& shard : large_->shards) n += shard.size();
-    return n;
-  }
-
-  /// Structure footprint (the paper's memory-usage figures).
+  /// Structure footprint (the paper's memory-usage figures): array
+  /// capacities plus the heap bytes of bitsets, without walking cells.
   MemoryBreakdown MemoryUsage() const;
 
   /// Compression accounting over every cell bitset (paper footnote 4).
   BitsetCompressionStats CompressionStats() const;
 
-  /// Iterates large cells (used by the parallel builder's post passes).
-  template <typename F>
-  void ForEachLargeCell(F&& f) {
-    for (auto& shard : large_->shards) {
-      shard.ForEach([&](const CellKey& key, LargeCell& cell) { f(key, cell); });
-    }
-  }
-
  private:
-  using SmallMap = CellShard<SmallCell>;
-  using LargeMap = CellShard<LargeCell>;
-
-  // The grids are sharded by key hash: the serial build uses one shard;
-  // the parallel build gives each thread exclusive ownership of one shard
-  // per grid, so cell creation and bitset updates need no synchronisation.
-  // Small and large shard counts may differ when a cached large grid
-  // (built under a different thread count) is adopted.
-  std::size_t ShardOfSmall(const CellKey& k) const {
-    return small_.size() == 1 ? 0 : CellKeyHash{}(k) % small_.size();
-  }
-  std::size_t ShardOfLarge(const CellKey& k) const {
-    return large_->shards.size() == 1
-               ? 0
-               : CellKeyHash{}(k) % large_->shards.size();
-  }
-
-  void MapPointSmall(ObjectId i, const Point& p, bool update_key_lists);
-  void MapPointLarge(ObjectId i, const Point& p);
+  /// Shared body of Build/BuildParallel.
+  void BuildWith(int threads, const LabelSet* labels, bool build_groups,
+                 QueryGuard* guard);
   /// Builds the P_{i,K} groups once per LargeGridData. On a reused
   /// (shared) grid the build happens under the grid's stripe lock with a
   /// double check, so concurrent queries adopting the same cached grid
   /// race safely: one builds, the rest adopt.
   void BuildGroups(const LabelSet* labels, int threads);
-  void BuildGroupsFor(ObjectId i, const LabelSet* labels);
-  void DeriveKeyListsFromCells(int threads);
 
   const ObjectSet* objects_;
   double r_;
   double small_width_;
 
-  std::vector<SmallMap> small_;
+  SmallGridData small_;
   std::shared_ptr<LargeGridData> large_;
   bool reused_large_ = false;
-  std::vector<std::vector<CellKey>> key_lists_;
 };
 
 }  // namespace mio

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bitset/union_accumulator.hpp"
 #include "common/guardrails.hpp"
 #include "obs/metrics.hpp"
 
@@ -23,15 +24,13 @@ LowerBoundResult LowerBounding(const BiGrid& grid, bool keep_bitsets,
   res.tau_low.assign(n, 0);
   if (keep_bitsets) res.lb_bitsets.resize(n);
 
+  UnionAccumulator acc(n);
   for (ObjectId i = 0; i < n; ++i) {
     if (guard != nullptr && (i % kGuardStrideObjects) == 0 && guard->Poll()) {
       break;  // partial tau_low entries remain valid lower bounds
     }
-    Ewah acc;
-    for (const CellKey& key : grid.KeyList(i)) {
-      const SmallCell* cell = grid.FindSmall(key);
-      acc.OrWith(cell->bits);
-    }
+    acc.Clear();
+    for (std::uint32_t cell : grid.KeyList(i)) acc.Or(grid.SmallBits(cell));
     std::size_t count = acc.Count();
     obs::Add(obs::Counter::kLbCellOrs, grid.KeyList(i).size());
     obs::Observe(obs::Histogram::kLbKeyListLen, grid.KeyList(i).size());
@@ -41,7 +40,7 @@ LowerBoundResult LowerBounding(const BiGrid& grid, bool keep_bitsets,
     res.tau_low[i] =
         count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     res.tau_low_max = std::max(res.tau_low_max, res.tau_low[i]);
-    if (keep_bitsets) res.lb_bitsets[i] = std::move(acc);
+    if (keep_bitsets) res.lb_bitsets[i] = acc.ToEwah();
   }
   return res;
 }

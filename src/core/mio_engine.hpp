@@ -42,11 +42,8 @@ class VerifyArena;  // core/verification.hpp
 /// mutex, cached grids and label sets are shared read-only via
 /// shared_ptr (lazy per-cell memoisation inside a shared grid
 /// synchronises itself, see BiGrid::EnsureAdj), and everything else is
-/// per-call state. QueryBatch is safe against concurrent Query calls
-/// only when `partition_postings` is off: partitioning rewrites the
-/// cells of a shared class grid in place and must not overlap readers.
-/// `mio serve` therefore runs batch replay with partitioning disabled
-/// or serialised.
+/// per-call state. QueryBatch shares class grids the same way, so batches
+/// and single queries may run concurrently on one engine.
 class MioEngine {
  public:
   /// `objects` must outlive the engine. When `label_dir` is non-empty,
@@ -59,13 +56,12 @@ class MioEngine {
   QueryResult Query(double r, const QueryOptions& options = {});
 
   /// Runs a batch of queries, amortising work across members that share
-  /// a ceil(r) class: one large-grid build, one label lookup, a shared
-  /// two-level posting layout, and one verification arena per class (see
-  /// core/batch.hpp). Results are parallel to `queries` and bit-identical
-  /// to calling Query per member. Per-member guardrails still apply; a
-  /// degrading member cannot poison its siblings.
-  BatchResult QueryBatch(const std::vector<BatchQuery>& queries,
-                         const BatchOptions& options = {});
+  /// a ceil(r) class: one large-grid build, one label lookup, and one
+  /// verification arena per class (see core/batch.hpp). Results are
+  /// parallel to `queries` and bit-identical to calling Query per member.
+  /// Per-member guardrails still apply; a degrading member cannot poison
+  /// its siblings.
+  BatchResult QueryBatch(const std::vector<BatchQuery>& queries);
 
   /// True if labels for ceil(r) are available (cache or disk).
   bool HasLabelsFor(double r) const;

@@ -1,8 +1,9 @@
 #include "core/parallel_phases.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <span>
 
+#include "bitset/union_accumulator.hpp"
 #include "common/guardrails.hpp"
 #include "common/omp_utils.hpp"
 #include "common/timer.hpp"
@@ -86,6 +87,7 @@ LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
     MIO_TRACE_SPAN_CAT("lb.worker", "lb");
     int t = ThreadId();
     pmu.Enter(t);
+    UnionAccumulator acc(n);
     std::size_t done = 0;
     for (ObjectId i = 0; i < n; ++i) {
       if (assign[i] != t) continue;
@@ -93,17 +95,15 @@ LowerBoundResult LbGreedyDivide(const BiGrid& grid, int threads,
           guard->Poll()) {
         break;  // each worker drains independently
       }
-      Ewah acc;
-      for (const CellKey& key : grid.KeyList(i)) {
-        acc.OrWith(grid.FindSmall(key)->bits);
-      }
+      acc.Clear();
+      for (std::uint32_t cell : grid.KeyList(i)) acc.Or(grid.SmallBits(cell));
       std::size_t count = acc.Count();
       obs::Add(obs::Counter::kLbCellOrs, grid.KeyList(i).size());
       obs::Observe(obs::Histogram::kLbKeyListLen, grid.KeyList(i).size());
       obs::Observe(obs::Histogram::kLbUnionBits, count);
       res.tau_low[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
       local_max[t] = std::max(local_max[t], res.tau_low[i]);
-      if (keep_bitsets) res.lb_bitsets[i] = std::move(acc);
+      if (keep_bitsets) res.lb_bitsets[i] = acc.ToEwah();
     }
     pmu.Leave(t);
   }
@@ -130,14 +130,14 @@ LowerBoundResult LbHashPartition(const BiGrid& grid, int threads,
     // Polled per object (not per stride): each iteration already pays for
     // a parallel region, so the poll cost is negligible here.
     if (guard != nullptr && guard->Poll()) break;
-    const std::vector<CellKey>& keys = grid.KeyList(i);
+    const std::span<const std::uint32_t> cells = grid.KeyList(i);
 #pragma omp parallel num_threads(threads)
     {
       std::size_t t = static_cast<std::size_t>(ThreadId());
       locals[t].Reset();
-      for (std::size_t idx = t; idx < keys.size();
+      for (std::size_t idx = t; idx < cells.size();
            idx += static_cast<std::size_t>(threads)) {
-        locals[t].OrWith(grid.FindSmall(keys[idx])->bits);
+        locals[t].OrWith(grid.SmallBits(cells[idx]));
       }
     }
     Ewah acc;
@@ -210,8 +210,7 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
     // recorded (it is "omitted when the labels are utilized").
     std::vector<std::uint64_t> weights(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
-      const LargeCell* cell = grid.FindLarge(groups[g].key);
-      std::uint64_t w = (cell != nullptr && cell->AdjReady())
+      std::uint64_t w = grid.large().adj[groups[g].cell].Ready()
                             ? 1
                             : static_cast<std::uint64_t>(kNeighborhoodSize);
       if (record_labels != nullptr) w += groups[g].point_idx.size();
@@ -240,8 +239,8 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
         }
         // Points with the same key share one cell, so exactly one core
         // computes b_adj for it — no synchronisation (paper §IV).
-        LargeCell& cell = grid.EnsureAdj(group.key);
-        if (record_labels != nullptr && cell.adj_count == 1) {
+        const CellAdj& adj = grid.EnsureAdj(group.cell);
+        if (record_labels != nullptr && adj.count == 1) {
           for (std::uint32_t j : group.point_idx) {
             record_labels->labels[i][j] &=
                 static_cast<std::uint8_t>(~label::kMap);
@@ -250,13 +249,13 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
         }
         if (record_labels != nullptr) {
           std::size_t before = locals[t].Count();
-          locals[t].OrWith(cell.adj);
+          locals[t].OrWith(adj.bits);
           bool changed = locals[t].Count() != before;
           // One OR per group: the first point carries it, the rest are
           // redundant (Observation 2); if nothing changed, all are.
           ClearUpperLabels(record_labels, i, group, /*keep_first=*/changed);
         } else {
-          locals[t].OrWith(cell.adj);
+          locals[t].OrWith(adj.bits);
         }
       }
     }
@@ -281,7 +280,7 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
                                 QueryGuard* guard) {
   const ObjectSet& objects = grid.objects();
   const std::size_t n = objects.size();
-  const double large_width = grid.large_width();
+  const LargeGridData& large = grid.large();
   UpperBoundResult res;
   res.tau_upp.assign(n, 0);
 
@@ -298,8 +297,9 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
   {
     int t = ThreadId();
     pmu.Enter(t);
-    std::unordered_map<CellKey, std::pair<Ewah, std::uint32_t>, CellKeyHash>
-        memo;
+    // Private memo: slot of each cell in `memo`, or kNoCell.
+    std::vector<std::uint32_t> memo_slot(large.NumCells(), kNoCell);
+    std::vector<std::pair<Ewah, std::uint32_t>> memo;
     std::size_t done = 0;
     for (ObjectId i = 0; i < n; ++i) {
       if (assign[i] != t) continue;
@@ -315,19 +315,18 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
           std::uint8_t l = use_labels->Get(i, j);
           if ((l & label::kMap) == 0 || (l & label::kUpper) == 0) continue;
         }
-        CellKey key = KeyForWidth(o.points[j], large_width);
-        auto it = memo.find(key);
-        if (it == memo.end()) {
-          Ewah adj;
-          const LargeCell* cell = grid.FindLarge(key);
-          adj = cell->bits;
-          ForEachNeighbor(key, false, [&](const CellKey& nk) {
-            if (const LargeCell* nc = grid.FindLarge(nk)) adj.OrWith(nc->bits);
-          });
+        const std::uint32_t cell = grid.LargeCellOf(i, j);
+        std::uint32_t& slot = memo_slot[cell];
+        if (slot == kNoCell) {
+          Ewah adj = large.bits[cell];
+          for (std::uint32_t nb : large.Neighbors(cell)) {
+            adj.OrWith(large.bits[nb]);
+          }
           std::uint32_t cnt = static_cast<std::uint32_t>(adj.Count());
-          it = memo.emplace(key, std::make_pair(std::move(adj), cnt)).first;
+          slot = static_cast<std::uint32_t>(memo.size());
+          memo.emplace_back(std::move(adj), cnt);
         }
-        const auto& [adj, adj_count] = it->second;
+        const auto& [adj, adj_count] = memo[slot];
         if (record_labels != nullptr && adj_count == 1) {
           record_labels->labels[i][j] &=
               static_cast<std::uint8_t>(~label::kMap);
@@ -402,11 +401,11 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
   const std::size_t n = grid.objects().size();
 
   // Phase 1: make sure every needed b_adj exists (with labels, upper
-  // bounding may have skipped some cells). Keys are unique per group, so
+  // bounding may have skipped some cells). Cells are unique per group, so
   // parallel EnsureAdj calls touch distinct cells.
 #pragma omp parallel for schedule(dynamic, 8) num_threads(threads)
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    grid.EnsureAdj(groups[g].key);
+    grid.EnsureAdj(groups[g].cell);
   }
 
   PlainBitset seed = lb_bitset != nullptr ? lb_bitset->ToPlain() : PlainBitset(n);
@@ -421,7 +420,7 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
       PlainBitset b;  // per-thread decode scratch
 #pragma omp for schedule(static)
       for (std::size_t g = 0; g < groups.size(); ++g) {
-        grid.FindLarge(groups[g].key)->adj.DecodeInto(&b);
+        grid.EnsureAdj(groups[g].cell).bits.DecodeInto(&b);
         b.AndNotWith(seed);
         group_alive[g] = b.Count() > 0 ? 1 : 0;
       }
@@ -469,7 +468,7 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
     return arena != nullptr ? arena->slots[static_cast<std::size_t>(t)].acc
                             : local_accs[static_cast<std::size_t>(t)];
   };
-  std::vector<std::size_t> comps(threads, 0);
+  std::vector<VerifyWork> work(static_cast<std::size_t>(threads));
   std::vector<double> seconds(threads, 0.0);
   WorkerPmuCapture pmu(threads);
 #pragma omp parallel num_threads(threads)
@@ -495,7 +494,8 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
         if ((l & label::kMap) == 0) continue;
         if (use_verify_bit && (l & label::kVerify) == 0) continue;
       }
-      VerifyPoint(grid, i, j, &acc, &b_scratch, record_labels, &comps[t]);
+      VerifyPoint(grid, i, j, &acc, &b_scratch, record_labels,
+                  &work[static_cast<std::size_t>(t)]);
     }
     seconds[static_cast<std::size_t>(t)] = worker_timer.ElapsedSeconds();
     pmu.Leave(t);
@@ -506,7 +506,10 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
   if (stats != nullptr) pmu.FoldInto(&stats->hardware.verification);
   if (stats != nullptr) {
     for (int t = 0; t < threads; ++t) {
-      stats->distance_computations += comps[t];
+      stats->distance_computations +=
+          work[static_cast<std::size_t>(t)].distance_computations;
+      stats->postings_visited +=
+          work[static_cast<std::size_t>(t)].postings_visited;
       stats->verify_thread_seconds[static_cast<std::size_t>(t)] +=
           seconds[static_cast<std::size_t>(t)];
     }

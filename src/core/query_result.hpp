@@ -97,6 +97,9 @@ struct QueryStats {
   std::size_t num_candidates = 0;      ///< |O_cand| after upper-bounding
   std::size_t num_verified = 0;        ///< objects exactly scored
   std::size_t distance_computations = 0;
+  /// Posting runs whose object bit verification tested; with the
+  /// posting_scans counter it gives the visit/scan ratio.
+  std::size_t postings_visited = 0;
   std::size_t cells_small = 0;
   std::size_t cells_large = 0;
   std::size_t points_pruned_by_labels = 0;

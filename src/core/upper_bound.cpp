@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bitset/union_accumulator.hpp"
 #include "common/guardrails.hpp"
 #include "obs/metrics.hpp"
 
@@ -22,19 +23,18 @@ UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
                                QueryGuard* guard) {
   const ObjectSet& objects = grid.objects();
   const std::size_t n = objects.size();
-  const double large_width = grid.large_width();
 
   UpperBoundResult res;
   res.tau_upp.assign(n, 0);
   res.candidates.reserve(n / 4 + 1);
 
+  UnionAccumulator acc(n);
   for (ObjectId i = 0; i < n; ++i) {
     if (guard != nullptr && (i % kGuardStrideObjects) == 0 && guard->Poll()) {
       break;  // partial candidate queue; usable only for best-so-far
     }
     const Object& o = objects[i];
-    Ewah acc;
-    std::size_t acc_count = 0;
+    acc.Clear();
     std::size_t ors = 0;
     for (std::size_t j = 0; j < o.points.size(); ++j) {
       if (use_labels != nullptr) {
@@ -42,27 +42,22 @@ UpperBoundResult UpperBounding(BiGrid& grid, std::uint32_t threshold,
         // UPPER-BOUNDING-WITH-LABEL iterates only points labelled 11*.
         if ((l & label::kMap) == 0 || (l & label::kUpper) == 0) continue;
       }
-      CellKey key = KeyForWidth(o.points[j], large_width);
-      LargeCell& cell = grid.EnsureAdj(key);
-      if (record_labels != nullptr && cell.adj_count == 1) {
+      const CellAdj& adj = grid.EnsureAdj(grid.LargeCellOf(i, j));
+      if (record_labels != nullptr && adj.count == 1) {
         // Labeling-1: only o_i occupies this neighbourhood — the point is
         // irrelevant to every phase of future same-ceil(r) queries.
         record_labels->labels[i][j] &= static_cast<std::uint8_t>(~label::kMap);
         continue;  // it cannot change acc either (acc will contain bit i)
       }
-      acc.OrWith(cell.adj);
+      const bool changed = acc.Or(adj.bits);
       ++ors;
-      if (record_labels != nullptr) {
-        std::size_t new_count = acc.Count();
-        if (new_count == acc_count) {
-          // Labeling-2: the OR changed nothing (Observation 2).
-          record_labels->labels[i][j] &=
-              static_cast<std::uint8_t>(~label::kUpper);
-        }
-        acc_count = new_count;
+      if (record_labels != nullptr && !changed) {
+        // Labeling-2: the OR changed nothing (Observation 2).
+        record_labels->labels[i][j] &=
+            static_cast<std::uint8_t>(~label::kUpper);
       }
     }
-    std::size_t count = record_labels != nullptr ? acc_count : acc.Count();
+    const std::size_t count = acc.Count();
     obs::Add(obs::Counter::kUbCellOrs, ors);
     obs::Observe(obs::Histogram::kUbUnionBits, count);
     res.tau_upp[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;

@@ -61,19 +61,19 @@ std::vector<ScoredObject> TopKTracker::Sorted() const {
 
 void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
                  PlainBitset* acc, PlainBitset* b_scratch,
-                 LabelSet* record_labels, std::size_t* dist_comps) {
+                 LabelSet* record_labels, VerifyWork* work) {
   const Point& p = grid.objects()[i].points[point_idx];
   const double r2 = grid.r() * grid.r();
-  CellKey key = KeyForWidth(p, grid.large_width());
+  const std::uint32_t cell = grid.LargeCellOf(i, point_idx);
   // With labels, some cells may have skipped upper-bounding entirely, so
   // b_adj may be missing here — compute it first (paper §III-D).
-  LargeCell& cell = grid.EnsureAdj(key);
+  const CellAdj& adj = grid.EnsureAdj(cell);
 
   // b <- b_adj(c) - b(o_i): candidates not yet confirmed. Decoded into the
   // caller's scratch bitset, so steady-state verification allocates
   // nothing per point.
   PlainBitset& b = *b_scratch;
-  cell.adj.DecodeInto(&b);
+  adj.bits.DecodeInto(&b);
   b.AndNotWith(*acc);
   std::size_t remaining = b.Count();
   obs::Add(obs::Counter::kVerifyPoints);
@@ -89,20 +89,23 @@ void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
     return;
   }
 
+  const LargeGridData& g = grid.large();
   std::size_t comps = 0;
+  std::size_t visited = 0;
   std::size_t postings = 0;
   std::size_t octants_pruned = 0;
   // Scan the cell itself, then its neighbours, stopping as soon as no
-  // candidate remains near p. Postings are only touched for set bits of
-  // b (Algorithm 6 line 13); each touched posting is one batch-kernel
-  // call over its contiguous SoA coordinates.
-  auto scan_runs = [&](const LargeCell* c, std::size_t run_begin,
+  // candidate remains near p. Postings are only scanned for set bits of
+  // b (Algorithm 6 line 13); each scanned run is one batch-kernel call
+  // over its contiguous SoA coordinates.
+  auto scan_runs = [&](std::size_t run_begin,
                        std::size_t run_end) -> bool {  // false = stop
-    for (std::size_t oi = run_begin; oi < run_end; ++oi) {
-      ObjectId obj = c->post_obj[oi];
+    visited += run_end - run_begin;
+    for (std::size_t q = run_begin; q < run_end; ++q) {
+      const ObjectId obj = g.run_obj[q];
       if (!b.Test(obj)) continue;
       ++postings;
-      PostingView posting = c->PostingAt(oi);
+      const PostingView posting = g.PostingAt(q);
       std::ptrdiff_t hit =
           AnyWithin(p, posting.xs, posting.ys, posting.zs, posting.size, r2);
       if (hit >= 0) {
@@ -116,44 +119,47 @@ void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
     }
     return true;
   };
-  auto scan_cell = [&](const CellKey& ck) -> bool {  // false = stop
-    const LargeCell* c = grid.FindLarge(ck);
-    if (c == nullptr) return true;
-    if (!c->partitioned()) return scan_runs(c, 0, c->post_obj.size());
-    // Two-level layout: visit only octants whose point box can reach p.
+  auto scan_cell = [&](std::uint32_t c) -> bool {  // false = stop
+    const std::uint32_t block = g.cell_octants[c];
+    if (block == kNoCell) {
+      return scan_runs(g.cell_runs[c], g.cell_runs[c + 1]);
+    }
+    // Octant layout: visit only octants whose point box can reach p.
     // Pruned octants provably hold no point within r (the boxes are tight
     // over the points), so the confirmed set — and the exact score — is
-    // identical to the flat scan.
+    // the same as a scan of every run.
+    const std::uint32_t* dir =
+        &g.oct_runs[static_cast<std::size_t>(block) * 9];
+    const double* boxes = &g.oct_box[static_cast<std::size_t>(block) * 48];
     for (int o = 0; o < 8; ++o) {
-      const std::size_t run_begin = c->part_runs[static_cast<std::size_t>(o)];
-      const std::size_t run_end =
-          c->part_runs[static_cast<std::size_t>(o) + 1];
-      if (run_begin == run_end) continue;
-      if (MinDist2ToOctantBox(p, c->part_box.data(), o) > r2) {
+      if (dir[o] == dir[o + 1]) continue;
+      if (MinDist2ToOctantBox(p, boxes, o) > r2) {
         ++octants_pruned;
         continue;
       }
-      if (!scan_runs(c, run_begin, run_end)) return false;
+      if (!scan_runs(dir[o], dir[o + 1])) return false;
     }
     return true;
   };
 
-  if (scan_cell(key)) {
-    bool stop = false;
-    ForEachNeighbor(key, /*include_self=*/false, [&](const CellKey& nk) {
-      if (!stop) stop = !scan_cell(nk);
-    });
+  if (scan_cell(cell)) {
+    for (std::uint32_t nb : g.Neighbors(cell)) {
+      if (!scan_cell(nb)) break;
+    }
   }
   obs::Add(obs::Counter::kPostingScans, postings);
   if (octants_pruned > 0) {
     obs::Add(obs::Counter::kVerifyOctantsPruned, octants_pruned);
   }
-  if (dist_comps != nullptr) *dist_comps += comps;
+  if (work != nullptr) {
+    work->distance_computations += comps;
+    work->postings_visited += visited;
+  }
 }
 
 std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
                          LabelSet* record_labels, const Ewah* lb_bitset,
-                         std::size_t* dist_comps, bool use_verify_bit,
+                         VerifyWork* work, bool use_verify_bit,
                          PlainBitset* b_scratch, QueryGuard* guard,
                          PlainBitset* acc_scratch) {
   const Object& o = grid.objects()[i];
@@ -188,7 +194,7 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
       if ((l & label::kMap) == 0) continue;
       if (use_verify_bit && (l & label::kVerify) == 0) continue;
     }
-    VerifyPoint(grid, i, j, &acc, b_scratch, record_labels, dist_comps);
+    VerifyPoint(grid, i, j, &acc, b_scratch, record_labels, work);
   }
 
   std::size_t count = acc.Count();
@@ -210,6 +216,7 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
                                        QueryGuard* guard,
                                        VerifyArena* arena) {
   TopKTracker tracker(k);
+  VerifyWork work;
   PlainBitset local_scratch;  // reused across every verified point
   PlainBitset* b_scratch = arena != nullptr ? &arena->scratch : &local_scratch;
   PlainBitset* acc_scratch = arena != nullptr ? &arena->acc : nullptr;
@@ -222,13 +229,16 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
     MIO_TRACE_SPAN_CAT("verify.candidate", "verify");
     const Ewah* lb =
         lb_bitsets != nullptr ? &(*lb_bitsets)[i] : nullptr;
-    std::uint32_t score = ExactScore(
-        grid, i, use_labels, record_labels, lb,
-        stats != nullptr ? &stats->distance_computations : nullptr,
-        use_verify_bit, b_scratch, guard, acc_scratch);
+    std::uint32_t score =
+        ExactScore(grid, i, use_labels, record_labels, lb, &work,
+                   use_verify_bit, b_scratch, guard, acc_scratch);
     if (guard != nullptr && guard->tripped()) break;  // partial: discard
     if (stats != nullptr) ++stats->num_verified;
     tracker.Offer(i, score);
+  }
+  if (stats != nullptr) {
+    stats->distance_computations += work.distance_computations;
+    stats->postings_visited += work.postings_visited;
   }
   return tracker.Sorted();
 }

@@ -56,6 +56,14 @@ class VerifyArena {
   }
 };
 
+/// Verification work tallies, summed into QueryStats by the callers.
+struct VerifyWork {
+  std::size_t distance_computations = 0;
+  /// Posting runs whose object bit was tested (scanned or not) — the
+  /// denominator of the visit/scan ratio.
+  std::size_t postings_visited = 0;
+};
+
 /// Processes one point of object i during exact scoring: computes the
 /// unconfirmed-candidate set b = b_adj - acc, performs Labeling-3 when
 /// recording, and scans the 27-cell neighbourhood's postings, folding
@@ -65,27 +73,28 @@ class VerifyArena {
 /// set is decoded into — reusing one bitset across points removes the
 /// per-point allocation this function otherwise dominates on. Shared by
 /// the serial and parallel verification paths (the parallel path passes
-/// per-core accumulators and scratch).
+/// per-core accumulators and scratch). `work` (may be null) accumulates
+/// the point's distance computations and posting visits.
 void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
                  PlainBitset* acc, PlainBitset* b_scratch,
-                 LabelSet* record_labels, std::size_t* dist_comps);
+                 LabelSet* record_labels, VerifyWork* work);
 
 /// Exact score of a single object via the large grid (the body of
 /// Algorithm 6's loop). `use_labels` activates the 1*1 point filter;
 /// `record_labels` performs Labeling-3; `lb_bitset` (with-label mode)
-/// seeds the accumulator with the lower-bound union; `dist_comps`
-/// accumulates distance evaluations. `b_scratch` (optional) is reused
-/// scratch for VerifyPoint's candidate set; pass one bitset across many
-/// ExactScore calls to keep verification allocation-free. `acc_scratch`
-/// (optional) is reused storage for the accumulator itself — the lb seed
-/// is decoded over it wholesale, so a stale value cannot leak between
-/// candidates. `guard` (optional) is polled every kGuardStridePoints
-/// points; once tripped the scan stops and the returned score is PARTIAL
-/// (a valid lower bound of the true score, but not exact) — callers must
-/// discard it.
+/// seeds the accumulator with the lower-bound union; `work` (may be null)
+/// accumulates distance evaluations and posting visits. `b_scratch`
+/// (optional) is reused scratch for VerifyPoint's candidate set; pass one
+/// bitset across many ExactScore calls to keep verification
+/// allocation-free. `acc_scratch` (optional) is reused storage for the
+/// accumulator itself — the lb seed is decoded over it wholesale, so a
+/// stale value cannot leak between candidates. `guard` (optional) is
+/// polled every kGuardStridePoints points; once tripped the scan stops and
+/// the returned score is PARTIAL (a valid lower bound of the true score,
+/// but not exact) — callers must discard it.
 std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
                          LabelSet* record_labels, const Ewah* lb_bitset,
-                         std::size_t* dist_comps, bool use_verify_bit = true,
+                         VerifyWork* work, bool use_verify_bit = true,
                          PlainBitset* b_scratch = nullptr,
                          QueryGuard* guard = nullptr,
                          PlainBitset* acc_scratch = nullptr);

@@ -50,12 +50,12 @@ enum class Counter : int {
   kLabelCacheHits,          ///< label lookups served from cache or disk
   kLabelCacheMisses,        ///< label lookups with nothing reusable
   kTraceDroppedSpans,       ///< spans overwritten by tracer ring overflow
-  kVerifyOctantsPruned,     ///< two-level octants skipped by the box prune
+  kVerifyOctantsPruned,     ///< posting octants skipped by the box prune
   kBatchQueries,            ///< queries submitted through QueryBatch
   kBatchClasses,            ///< distinct ceil(r) classes across batches
   kBatchGridBuildsSaved,    ///< batch members that reused a class grid
   kBatchPostingsBytesShared,  ///< posting bytes served from a shared grid
-  kBatchCellsPartitioned,   ///< cells rewritten into the two-level layout
+  kBatchCellsPartitioned,   ///< class-grid cells in the octant layout
   kQueriesExecuted,         ///< engine pipeline runs (sequential + batch)
   kTelemetrySamples,        ///< background telemetry samples taken
   kServerConnections,       ///< client connections accepted by mio serve

@@ -249,6 +249,7 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.Key("candidates").UInt(rec.candidates);
   w.Key("verified").UInt(rec.verified);
   w.Key("distance_computations").UInt(rec.distance_computations);
+  w.Key("postings_visited").UInt(rec.postings_visited);
   w.EndObject();
   w.Key("winner").BeginObject();
   w.Key("id").UInt(rec.winner_id);
@@ -335,6 +336,7 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   rec.candidates = funnel->GetUInt("candidates");
   rec.verified = funnel->GetUInt("verified");
   rec.distance_computations = funnel->GetUInt("distance_computations");
+  rec.postings_visited = funnel->GetUInt("postings_visited");
   const JsonValue* winner = doc.Find("winner");
   rec.winner_id = winner->GetUInt("id");
   rec.winner_score = winner->GetUInt("score");

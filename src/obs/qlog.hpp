@@ -60,6 +60,9 @@ struct QlogRecord {
   std::uint64_t candidates = 0;
   std::uint64_t verified = 0;
   std::uint64_t distance_computations = 0;
+  /// Posting runs verification tested (optional on read: records written
+  /// before the field existed parse with 0).
+  std::uint64_t postings_visited = 0;
   std::uint64_t winner_id = 0;
   std::uint64_t winner_score = 0;
 

@@ -31,6 +31,7 @@ void WriteCounters(JsonWriter& w, const QueryStats& s) {
   w.Key("num_candidates").UInt(s.num_candidates);
   w.Key("num_verified").UInt(s.num_verified);
   w.Key("distance_computations").UInt(s.distance_computations);
+  w.Key("postings_visited").UInt(s.postings_visited);
   w.Key("cells_small").UInt(s.cells_small);
   w.Key("cells_large").UInt(s.cells_large);
   w.Key("points_pruned_by_labels").UInt(s.points_pruned_by_labels);

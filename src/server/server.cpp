@@ -151,6 +151,28 @@ void MioServer::InstallSignalHandlers() {
   ::sigaction(SIGINT, &sa, nullptr);
 }
 
+std::size_t MioServer::tracked_sessions() const {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  return sessions_.size();
+}
+
+void MioServer::ReapSessions() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    auto live = std::partition(
+        sessions_.begin(), sessions_.end(),
+        [](const std::unique_ptr<Session>& s) { return !s->done; });
+    for (auto it = live; it != sessions_.end(); ++it) {
+      finished.push_back(std::move((*it)->thread));
+    }
+    sessions_.erase(live, sessions_.end());
+  }
+  // A done session never takes sessions_mu_ again, so these joins only
+  // wait for the threads to return.
+  for (std::thread& t : finished) t.join();
+}
+
 std::size_t MioServer::active_sessions() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   std::size_t n = 0;
@@ -221,13 +243,14 @@ Status MioServer::Serve() {
       ev.client = "c" + std::to_string(conn_id);
       evlog_.Emit(std::move(ev));
     }
+    ReapSessions();
     std::lock_guard<std::mutex> lock(sessions_mu_);
     auto session = std::make_unique<Session>();
     Session* raw = session.get();
     raw->fd = conn;
     sessions_.push_back(std::move(session));
-    raw->thread =
-        std::thread([this, conn, conn_id] { SessionLoop(conn, conn_id); });
+    raw->thread = std::thread(
+        [this, raw, conn, conn_id] { SessionLoop(raw, conn, conn_id); });
   }
 
   // --- Graceful drain ----------------------------------------------------
@@ -325,7 +348,7 @@ void MioServer::WorkerLoop() {
   }
 }
 
-void MioServer::SessionLoop(int fd, std::uint64_t conn_id) {
+void MioServer::SessionLoop(Session* session, int fd, std::uint64_t conn_id) {
   const std::string client = "c" + std::to_string(conn_id);
   std::string buffer;
   char chunk[4096];
@@ -375,13 +398,9 @@ void MioServer::SessionLoop(int fd, std::uint64_t conn_id) {
     evlog_.Emit(std::move(ev));
   }
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (const auto& s : sessions_) {
-    if (s->fd == fd) {
-      ::close(fd);
-      s->fd = -1;
-      break;
-    }
-  }
+  ::close(fd);
+  session->fd = -1;
+  session->done = true;
 }
 
 bool MioServer::WriteResponse(int fd, const ServeResponse& res) {
@@ -487,6 +506,7 @@ void MioServer::AppendQlog(const ServeRequest& req, const RequestContext& ctx,
     rec.candidates = stats.num_candidates;
     rec.verified = stats.num_verified;
     rec.distance_computations = stats.distance_computations;
+    rec.postings_visited = stats.postings_visited;
     if (!qres->topk.empty()) {
       rec.winner_id = qres->best().id;
       rec.winner_score = qres->best().score;

@@ -134,6 +134,9 @@ class MioServer {
   const ServerConfig& config() const { return config_; }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   std::size_t active_sessions() const;
+  /// Sessions whose thread has not been joined yet: the open ones plus
+  /// those that finished since the accept loop last reaped.
+  std::size_t tracked_sessions() const;
 
   /// Evlog backpressure counters (0 when the evlog is off).
   std::uint64_t evlog_written() const { return evlog_.written(); }
@@ -143,6 +146,9 @@ class MioServer {
   struct Session {
     int fd = -1;
     std::thread thread;
+    /// Set (under sessions_mu_) as SessionLoop's last step; the accept
+    /// loop then joins the thread and drops the session.
+    bool done = false;
   };
 
   /// Per-client request accounting for the "stats" op. Query ops only —
@@ -157,7 +163,10 @@ class MioServer {
   };
   static constexpr std::size_t kMaxClients = 256;
 
-  void SessionLoop(int fd, std::uint64_t conn_id);
+  void SessionLoop(Session* session, int fd, std::uint64_t conn_id);
+  /// Joins and drops finished sessions, so a long-running server holds
+  /// threads only for its open connections.
+  void ReapSessions();
   void WorkerLoop();
   /// Handles one parsed request line, writing the response to `fd`.
   /// Returns false when the connection must close (write error).

@@ -57,6 +57,7 @@ obs::QlogRecord MakeQlogRecord(const WorkloadSpec& spec,
   rec.candidates = stats.num_candidates;
   rec.verified = stats.num_verified;
   rec.distance_computations = stats.distance_computations;
+  rec.postings_visited = stats.postings_visited;
   if (!res.topk.empty()) {
     rec.winner_id = res.best().id;
     rec.winner_score = res.best().score;

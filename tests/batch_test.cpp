@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -236,9 +237,7 @@ TEST_F(BatchTest, MidBatchCacheClearCannotDangle) {
   batch[1].options.memory_budget_bytes = warm_bytes;
 
   MioEngine engine(set);
-  BatchOptions bopt;
-  bopt.partition_postings = false;  // budget pinned to the flat footprint
-  BatchResult res = engine.QueryBatch(batch, bopt);
+  BatchResult res = engine.QueryBatch(batch);
   EXPECT_TRUE(res.results[1].complete);
   EXPECT_GE(res.results[1].stats.degradation_level, 2);
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -285,61 +284,106 @@ TEST_F(BatchTest, BatchWarmStartsFromEngineGridCache) {
   EXPECT_EQ(res.results[2].best().score, Oracle(3.1));
 }
 
-// --- Two-level posting layout structural invariants ------------------------
+TEST_F(BatchTest, ConcurrentWithQueryOnOneEngine) {
+  // Class grids are immutable once built (only the stripe-locked b_adj and
+  // P_{i,K} groups are memoised lazily), so batches and single queries may
+  // share one engine — and its cached grids and labels — concurrently.
+  // threads=1 keeps a TSan build clear of libgomp's internals.
+  QueryOptions opt;
+  opt.k = 2;
+  opt.use_labels = opt.record_labels = true;
+  opt.reuse_grid = true;
+  const std::vector<BatchQuery> batch = MakeBatch(kMixedRadii, opt);
+  std::vector<std::vector<ScoredObject>> want;
+  for (double r : kMixedRadii) {
+    want.push_back(TopKFromScores(testing::OracleScores(set_, r), opt.k));
+  }
+  auto expect_scores = [&](const QueryResult& res, std::size_t i,
+                           const std::string& who) {
+    ASSERT_TRUE(res.complete) << who;
+    ASSERT_EQ(res.topk.size(), want[i].size()) << who;
+    for (std::size_t j = 0; j < want[i].size(); ++j) {
+      EXPECT_EQ(res.topk[j].score, want[i][j].score) << who << " r=" << i;
+    }
+  };
 
-TEST(PartitionPostingsTest, PreservesPointsAndBoxesAreTight) {
-  ObjectSet set = testing::MakeRandomObjects(40, 6, 12, 20.0, 7, 4.0);
-  BiGrid grid(set, 4.0);
-  grid.Build();
-  std::shared_ptr<LargeGridData> large = grid.ShareLargeGrid();
-
-  // Flat-layout inventory per cell: multiset of (obj, x, y, z).
-  using Entry = std::tuple<ObjectId, double, double, double>;
-  std::map<const LargeCell*, std::vector<Entry>> before;
-  for (auto& shard : large->shards) {
-    shard.ForEach([&](const CellKey&, LargeCell& cell) {
-      std::vector<Entry>& inv = before[&cell];
-      for (std::size_t ri = 0; ri < cell.post_obj.size(); ++ri) {
-        PostingView v = cell.PostingAt(ri);
-        for (std::size_t p = 0; p < v.size; ++p) {
-          inv.emplace_back(cell.post_obj[ri], v.xs[p], v.ys[p], v.zs[p]);
+  MioEngine engine(set_);
+  constexpr int kRounds = 3;
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      BatchResult res = engine.QueryBatch(batch);
+      ASSERT_EQ(res.results.size(), batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        expect_scores(res.results[i], i, "batch");
+      }
+    }
+  });
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < kMixedRadii.size(); ++i) {
+          // Walk the radii in opposite directions so the two query
+          // threads contend for different class grids.
+          const std::size_t q = t == 0 ? i : kMixedRadii.size() - 1 - i;
+          expect_scores(engine.Query(kMixedRadii[q], opt), q, "query");
         }
       }
-      std::sort(inv.begin(), inv.end());
     });
   }
+  for (std::thread& th : threads) th.join();
+}
 
-  const std::size_t cells = PartitionLargeGridPostings(large.get(),
-                                                       /*min_points=*/1);
-  EXPECT_GT(cells, 0u);
-  // Idempotent: a second pass finds nothing left to do.
-  EXPECT_EQ(PartitionLargeGridPostings(large.get(), 1), 0u);
+// --- Octant posting layout structural invariants ---------------------------
+// Grids are built in their final layout: cells with >= kOctantMinPoints
+// points are grouped by octant, the rest keep one run per object.
 
-  for (auto& shard : large->shards) {
-    shard.ForEach([&](const CellKey&, LargeCell& cell) {
-      ASSERT_TRUE(cell.partitioned());
-      ASSERT_EQ(cell.part_runs.size(), 9u);
-      ASSERT_EQ(cell.part_box.size(), 48u);
-      EXPECT_EQ(cell.part_runs[0], 0u);
-      EXPECT_EQ(cell.part_runs[8], cell.post_obj.size());
+TEST(PartitionPostingsTest, PreservesPointsAndBoxesAreTight) {
+  ObjectSet set = testing::MakeRandomObjects(60, 8, 16, 8.0, 7, 3.0);
+  BiGrid grid(set, 4.0);
+  grid.Build();
+  const LargeGridData& g = grid.large();
 
-      std::vector<Entry> after;
+  // Brute-force inventory per cell key: multiset of (obj, x, y, z).
+  using Entry = std::tuple<ObjectId, double, double, double>;
+  std::map<CellKey, std::vector<Entry>> want;
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    for (const Point& p : set[i].points) {
+      want[KeyForWidth(p, g.width)].emplace_back(i, p.x, p.y, p.z);
+    }
+  }
+  ASSERT_EQ(want.size(), g.NumCells());
+
+  std::size_t octant_cells = 0;
+  for (std::uint32_t c = 0; c < g.NumCells(); ++c) {
+    std::vector<Entry> got;
+    const std::uint32_t block = g.cell_octants[c];
+    if (block == kNoCell) {
+      for (std::uint32_t q = g.cell_runs[c]; q < g.cell_runs[c + 1]; ++q) {
+        PostingView v = g.PostingAt(q);
+        for (std::size_t p = 0; p < v.size; ++p) {
+          got.emplace_back(g.run_obj[q], v.xs[p], v.ys[p], v.zs[p]);
+        }
+      }
+    } else {
+      ++octant_cells;
+      const std::uint32_t* dir = &g.oct_runs[block * 9];
+      const double* boxes = &g.oct_box[block * 48];
+      EXPECT_EQ(dir[0], g.cell_runs[c]);
+      EXPECT_EQ(dir[8], g.cell_runs[c + 1]);
+      EXPECT_GE(g.run_start[g.cell_runs[c + 1]] - g.run_start[g.cell_runs[c]],
+                kOctantMinPoints);
       for (int o = 0; o < 8; ++o) {
-        ObjectId prev_obj = 0;
-        bool first = true;
-        for (std::uint32_t ri = cell.part_runs[o]; ri < cell.part_runs[o + 1];
-             ++ri) {
+        for (std::uint32_t q = dir[o]; q < dir[o + 1]; ++q) {
           // Runs stay ascending by object id within each octant.
-          if (!first) {
-            EXPECT_LT(prev_obj, cell.post_obj[ri]);
+          if (q > dir[o]) {
+            EXPECT_LT(g.run_obj[q - 1], g.run_obj[q]);
           }
-          prev_obj = cell.post_obj[ri];
-          first = false;
-          PostingView v = cell.PostingAt(ri);
+          PostingView v = g.PostingAt(q);
           ASSERT_GT(v.size, 0u);
-          const double* box = cell.part_box.data() + o * 6;
+          const double* box = boxes + o * 6;
           for (std::size_t p = 0; p < v.size; ++p) {
-            after.emplace_back(cell.post_obj[ri], v.xs[p], v.ys[p], v.zs[p]);
+            got.emplace_back(g.run_obj[q], v.xs[p], v.ys[p], v.zs[p]);
             // Every point sits inside its octant's tight box — the exact
             // soundness condition for MinDist2ToOctantBox pruning.
             EXPECT_GE(v.xs[p], box[0]);
@@ -349,28 +393,34 @@ TEST(PartitionPostingsTest, PreservesPointsAndBoxesAreTight) {
             EXPECT_LE(v.ys[p], box[4]);
             EXPECT_LE(v.zs[p], box[5]);
             EXPECT_EQ(MinDist2ToOctantBox(Point{v.xs[p], v.ys[p], v.zs[p]},
-                                          cell.part_box.data(), o),
+                                          boxes, o),
                       0.0);
           }
         }
       }
-      std::sort(after.begin(), after.end());
-      EXPECT_EQ(after, before[&cell]);
-    });
+    }
+    std::sort(got.begin(), got.end());
+    std::vector<Entry>& w = want[g.keys[c]];
+    std::sort(w.begin(), w.end());
+    EXPECT_EQ(got, w);
   }
+  EXPECT_GT(octant_cells, 0u);
+  EXPECT_EQ(octant_cells, g.NumOctantCells());
 }
 
 TEST(PartitionPostingsTest, SmallCellsKeepFlatLayout) {
   ObjectSet set = testing::MakeRandomObjects(10, 2, 3, 50.0, 5, 2.0);
   BiGrid grid(set, 3.0);
   grid.Build();
-  std::shared_ptr<LargeGridData> large = grid.ShareLargeGrid();
-  // An absurd threshold partitions nothing.
-  EXPECT_EQ(PartitionLargeGridPostings(large.get(), 1u << 20), 0u);
-  for (auto& shard : large->shards) {
-    shard.ForEach([&](const CellKey&, LargeCell& cell) {
-      EXPECT_FALSE(cell.partitioned());
-    });
+  const LargeGridData& g = grid.large();
+  // No cell reaches the octant threshold: every cell keeps one run per
+  // object, ascending.
+  EXPECT_EQ(g.NumOctantCells(), 0u);
+  for (std::uint32_t c = 0; c < g.NumCells(); ++c) {
+    EXPECT_EQ(g.cell_octants[c], kNoCell);
+    for (std::uint32_t q = g.cell_runs[c] + 1; q < g.cell_runs[c + 1]; ++q) {
+      EXPECT_LT(g.run_obj[q - 1], g.run_obj[q]);
+    }
   }
 }
 

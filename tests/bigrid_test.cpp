@@ -1,6 +1,6 @@
 // Structural tests of the BIGrid index: cell contents, key lists,
-// postings, lazy neighbourhood bitsets, and serial/parallel build
-// equivalence.
+// postings, the neighbour table, lazy neighbourhood bitsets, and
+// serial/parallel build equivalence.
 #include "core/bigrid.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "test_utils.hpp"
 
@@ -38,12 +40,15 @@ TEST(BiGridTest, SmallCellBitsMatchBruteForce) {
   }
   EXPECT_EQ(grid.NumSmallCells(), want.size());
   for (const auto& [kt, objs] : want) {
-    const SmallCell* cell =
-        grid.FindSmall(CellKey{std::get<0>(kt), std::get<1>(kt), std::get<2>(kt)});
-    ASSERT_NE(cell, nullptr);
-    EXPECT_EQ(cell->bits.Count(), objs.size());
-    EXPECT_EQ(cell->num_objects, objs.size());
-    for (ObjectId o : objs) EXPECT_TRUE(cell->bits.Test(o));
+    const std::uint32_t cell = grid.FindSmallCell(
+        CellKey{std::get<0>(kt), std::get<1>(kt), std::get<2>(kt)});
+    ASSERT_NE(cell, kNoCell);
+    EXPECT_EQ(grid.SmallBits(cell).Count(), objs.size());
+    for (ObjectId o : objs) EXPECT_TRUE(grid.SmallBits(cell).Test(o));
+  }
+  // Cells are stored in ascending key order.
+  for (std::uint32_t c = 1; c < grid.NumSmallCells(); ++c) {
+    EXPECT_TRUE(grid.SmallKey(c - 1) < grid.SmallKey(c));
   }
 }
 
@@ -67,7 +72,10 @@ TEST(BiGridTest, KeyListsAreExactlyMultiObjectCells) {
       if (objs.size() >= 2 && objs.count(i)) want.insert(kt);
     }
     std::set<std::tuple<int, int, int>> got;
-    for (const CellKey& k : grid.KeyList(i)) got.insert({k.x, k.y, k.z});
+    for (std::uint32_t c : grid.KeyList(i)) {
+      const CellKey& k = grid.SmallKey(c);
+      got.insert({k.x, k.y, k.z});
+    }
     EXPECT_EQ(got, want) << "object " << i;
     EXPECT_EQ(grid.KeyList(i).size(), got.size()) << "duplicate keys";
   }
@@ -78,37 +86,88 @@ TEST(BiGridTest, LargeCellPostingsHoldEveryPoint) {
   double r = 3.0;
   BiGrid grid(set, r);
   grid.Build();
+  const LargeGridData& g = grid.large();
 
-  std::size_t total_postings = 0;
   for (ObjectId i = 0; i < set.size(); ++i) {
-    for (const Point& p : set[i].points) {
-      CellKey k = KeyForWidth(p, grid.large_width());
-      const LargeCell* cell = grid.FindLarge(k);
-      ASSERT_NE(cell, nullptr);
-      EXPECT_TRUE(cell->bits.Test(i));
-      PostingView posting = cell->Posting(i);
+    for (std::size_t j = 0; j < set[i].points.size(); ++j) {
+      const Point& p = set[i].points[j];
+      const std::uint32_t cell = grid.LargeCellOf(i, j);
+      ASSERT_NE(cell, kNoCell);
+      EXPECT_EQ(cell, g.FindCell(KeyForWidth(p, grid.large_width())));
+      EXPECT_TRUE(g.bits[cell].Test(i));
       bool present = false;
-      for (std::size_t pi = 0; pi < posting.size; ++pi) {
-        if (posting[pi] == p) present = true;
+      for (std::uint32_t q = g.cell_runs[cell]; q < g.cell_runs[cell + 1];
+           ++q) {
+        if (g.run_obj[q] != i) continue;
+        PostingView posting = g.PostingAt(q);
+        for (std::size_t pi = 0; pi < posting.size; ++pi) {
+          if (posting[pi] == p) present = true;
+        }
       }
       EXPECT_TRUE(present);
     }
   }
-  grid.ForEachLargeCell([&](const CellKey&, LargeCell& cell) {
-    total_postings += cell.NumPostingPoints();
-    // Posting object ids ascend (build order).
-    EXPECT_TRUE(std::is_sorted(cell.post_obj.begin(), cell.post_obj.end()));
-  });
-  EXPECT_EQ(total_postings, set.Stats().nm);
+  EXPECT_EQ(g.NumPostingPoints(), set.Stats().nm);
+  for (std::uint32_t c = 0; c < g.NumCells(); ++c) {
+    if (c > 0) {
+      EXPECT_TRUE(g.keys[c - 1] < g.keys[c]);
+    }
+    if (g.cell_octants[c] != kNoCell) continue;
+    // Small cells: one run per object, ascending (build order).
+    for (std::uint32_t q = g.cell_runs[c] + 1; q < g.cell_runs[c + 1]; ++q) {
+      EXPECT_LT(g.run_obj[q - 1], g.run_obj[q]);
+    }
+  }
 }
 
 TEST(BiGridTest, PostingOfAbsentObjectIsEmpty) {
+  // Every run belongs to an object of its cell's bitset, and every object
+  // of the bitset owns at least one run there: an absent object has none.
   ObjectSet set = testing::MakeRandomObjects(3, 2, 2, 5.0, 5);
   BiGrid grid(set, 2.0);
   grid.Build();
-  grid.ForEachLargeCell([&](const CellKey&, LargeCell& cell) {
-    EXPECT_TRUE(cell.Posting(9999).empty());
-  });
+  const LargeGridData& g = grid.large();
+  for (std::uint32_t c = 0; c < g.NumCells(); ++c) {
+    std::set<ObjectId> owners;
+    for (std::uint32_t q = g.cell_runs[c]; q < g.cell_runs[c + 1]; ++q) {
+      EXPECT_TRUE(g.bits[c].Test(g.run_obj[q]));
+      EXPECT_FALSE(g.PostingAt(q).empty());
+      owners.insert(g.run_obj[q]);
+    }
+    EXPECT_EQ(owners.size(), g.bits[c].Count());
+  }
+}
+
+TEST(BiGridTest, NeighbourTableMatchesForEachNeighbor) {
+  // Coordinates straddle zero, so the merge join runs across the sign of
+  // every lattice axis.
+  ObjectSet raw = testing::MakeRandomObjects(40, 3, 9, 12.0, 12, 3.0);
+  ObjectSet set;
+  for (const Object& o : raw.objects()) {
+    Object shifted = o;
+    for (Point& p : shifted.points) {
+      p.x -= 6.0;
+      p.y -= 6.0;
+      p.z -= 6.0;
+    }
+    set.Add(std::move(shifted));
+  }
+  for (double r : {1.0, 2.0, 3.5}) {
+    BiGrid grid(set, r);
+    grid.Build();
+    const LargeGridData& g = grid.large();
+    for (std::uint32_t c = 0; c < g.NumCells(); ++c) {
+      std::vector<std::uint32_t> want;
+      ForEachNeighbor(g.keys[c], /*include_self=*/false,
+                      [&](const CellKey& nk) {
+                        const std::uint32_t nc = g.FindCell(nk);
+                        if (nc != kNoCell) want.push_back(nc);
+                      });
+      std::span<const std::uint32_t> got = g.Neighbors(c);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+          << "r=" << r << " cell " << g.keys[c].ToString();
+    }
+  }
 }
 
 TEST(BiGridTest, EnsureAdjIsNeighborhoodUnion) {
@@ -116,66 +175,107 @@ TEST(BiGridTest, EnsureAdjIsNeighborhoodUnion) {
   double r = 3.0;
   BiGrid grid(set, r);
   grid.Build();
+  const LargeGridData& g = grid.large();
 
-  CellKey key = KeyForWidth(set[0].points[0], grid.large_width());
-  LargeCell& cell = grid.EnsureAdj(key);
-  ASSERT_TRUE(cell.adj_computed);
+  for (std::uint32_t cell = 0; cell < g.NumCells(); ++cell) {
+    EXPECT_FALSE(g.adj[cell].Ready());
+    const CellAdj& adj = grid.EnsureAdj(cell);
+    ASSERT_TRUE(adj.Ready());
 
-  PlainBitset want;
-  ForEachNeighbor(key, true, [&](const CellKey& nk) {
-    if (const LargeCell* nc = grid.FindLarge(nk)) {
-      want.OrWith(nc->bits.ToPlain());
-    }
-  });
-  EXPECT_TRUE(cell.adj.ToPlain() == want);
-  EXPECT_EQ(cell.adj_count, want.Count());
-  // Second call is a memo hit (same object, no recompute).
-  EXPECT_EQ(&grid.EnsureAdj(key), &cell);
+    PlainBitset want;
+    ForEachNeighbor(g.keys[cell], true, [&](const CellKey& nk) {
+      const std::uint32_t nc = g.FindCell(nk);
+      if (nc != kNoCell) want.OrWith(g.bits[nc].ToPlain());
+    });
+    EXPECT_TRUE(adj.bits.ToPlain() == want);
+    EXPECT_EQ(adj.count, want.Count());
+    // Second call is a memo hit (same object, no recompute).
+    EXPECT_EQ(&grid.EnsureAdj(cell), &adj);
+  }
 }
 
 TEST(BiGridTest, NoEmptyCells) {
   ObjectSet set = testing::MakeRandomObjects(10, 3, 5, 30.0, 7);
   BiGrid grid(set, 4.0);
   grid.Build();
-  grid.ForEachLargeCell([&](const CellKey&, LargeCell& cell) {
-    EXPECT_GT(cell.NumPostingPoints(), 0u);
-    EXPECT_GT(cell.bits.Count(), 0u);
-  });
+  const LargeGridData& g = grid.large();
+  for (std::uint32_t c = 0; c < g.NumCells(); ++c) {
+    EXPECT_LT(g.cell_runs[c], g.cell_runs[c + 1]);
+    EXPECT_GT(g.bits[c].Count(), 0u);
+  }
+}
+
+TEST(BiGridTest, RebuildReplacesTheGrid) {
+  ObjectSet set = testing::MakeRandomObjects(15, 3, 6, 20.0, 13);
+  BiGrid grid(set, 3.0);
+  grid.Build(nullptr, /*build_groups=*/true);
+  const std::size_t cells = grid.NumLargeCells();
+  const std::size_t small_cells = grid.NumSmallCells();
+  grid.Build(nullptr, /*build_groups=*/true);
+  EXPECT_EQ(grid.NumLargeCells(), cells);
+  EXPECT_EQ(grid.NumSmallCells(), small_cells);
+  EXPECT_EQ(grid.large().NumPostingPoints(), set.Stats().nm);
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    std::size_t grouped = 0;
+    for (const PointGroup& g : grid.LargeGroups(i)) {
+      grouped += g.point_idx.size();
+    }
+    EXPECT_EQ(grouped, set[i].NumPoints());
+  }
 }
 
 TEST(BiGridTest, ParallelBuildMatchesSerial) {
-  ObjectSet set = testing::MakeRandomObjects(30, 5, 12, 25.0, 8);
+  // Large enough that the radix sort splits into several chunks.
+  ObjectSet set = testing::MakeRandomObjects(3000, 20, 40, 60.0, 8);
   double r = 4.5;
   BiGrid serial(set, r);
   serial.Build(nullptr, true);
+  const LargeGridData& s = serial.large();
   for (int threads : {2, 4}) {
     BiGrid parallel(set, r);
     parallel.BuildParallel(threads, nullptr, true);
-    EXPECT_EQ(parallel.NumSmallCells(), serial.NumSmallCells());
-    EXPECT_EQ(parallel.NumLargeCells(), serial.NumLargeCells());
+    const LargeGridData& p = parallel.large();
+    ASSERT_EQ(parallel.NumSmallCells(), serial.NumSmallCells());
+    ASSERT_EQ(parallel.NumLargeCells(), serial.NumLargeCells());
 
-    // Key lists agree as sets per object.
+    // The same layout, array for array.
+    for (std::uint32_t c = 0; c < serial.NumSmallCells(); ++c) {
+      ASSERT_EQ(parallel.SmallKey(c), serial.SmallKey(c));
+      ASSERT_TRUE(parallel.SmallBits(c) == serial.SmallBits(c));
+    }
     for (ObjectId i = 0; i < set.size(); ++i) {
-      auto as_set = [](const std::vector<CellKey>& keys) {
-        std::set<std::tuple<int, int, int>> s;
-        for (const CellKey& k : keys) s.insert({k.x, k.y, k.z});
-        return s;
-      };
-      EXPECT_EQ(as_set(parallel.KeyList(i)), as_set(serial.KeyList(i)))
+      std::span<const std::uint32_t> a = parallel.KeyList(i);
+      std::span<const std::uint32_t> b = serial.KeyList(i);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
           << "object " << i << " threads " << threads;
     }
-    // Large cells agree bit-for-bit and posting-for-posting.
-    serial.ForEachLargeCell([&](const CellKey& k, LargeCell& scell) {
-      const LargeCell* pcell = parallel.FindLarge(k);
-      ASSERT_NE(pcell, nullptr);
-      EXPECT_TRUE(pcell->bits == scell.bits);
-      EXPECT_EQ(pcell->NumPostingPoints(), scell.NumPostingPoints());
-    });
-    // Groups cover every point exactly once.
+    EXPECT_EQ(p.keys, s.keys);
+    for (std::uint32_t c = 0; c < s.NumCells(); ++c) {
+      ASSERT_TRUE(p.bits[c] == s.bits[c]);
+    }
+    EXPECT_EQ(p.cell_runs, s.cell_runs);
+    EXPECT_EQ(p.run_obj, s.run_obj);
+    EXPECT_EQ(p.run_start, s.run_start);
+    EXPECT_EQ(p.xs, s.xs);
+    EXPECT_EQ(p.ys, s.ys);
+    EXPECT_EQ(p.zs, s.zs);
+    EXPECT_EQ(p.cell_octants, s.cell_octants);
+    EXPECT_EQ(p.oct_runs, s.oct_runs);
+    EXPECT_EQ(p.oct_box, s.oct_box);
+    EXPECT_EQ(p.nbr_begin, s.nbr_begin);
+    EXPECT_EQ(p.nbr, s.nbr);
+    EXPECT_EQ(p.point_cell, s.point_cell);
+
+    // Groups match the serial ones and cover every point exactly once.
     for (ObjectId i = 0; i < set.size(); ++i) {
+      const std::vector<PointGroup>& pg = parallel.LargeGroups(i);
+      const std::vector<PointGroup>& sg = serial.LargeGroups(i);
+      ASSERT_EQ(pg.size(), sg.size());
       std::size_t covered = 0;
-      for (const PointGroup& g : parallel.LargeGroups(i)) {
-        covered += g.point_idx.size();
+      for (std::size_t k = 0; k < pg.size(); ++k) {
+        EXPECT_EQ(pg[k].cell, sg[k].cell);
+        EXPECT_EQ(pg[k].point_idx, sg[k].point_idx);
+        covered += pg[k].point_idx.size();
       }
       EXPECT_EQ(covered, set[i].NumPoints());
     }
@@ -207,10 +307,14 @@ TEST(BiGridTest, BuildWithLabelsSkipsPrunedPoints) {
   for (auto& l : labels.labels[0]) l &= ~label::kMap;
   BiGrid grid(set, 4.0);
   grid.Build(&labels);
-  // Object 0 must appear in no large cell.
-  grid.ForEachLargeCell([&](const CellKey&, LargeCell& cell) {
-    EXPECT_FALSE(cell.bits.Test(0));
-  });
+  // Object 0 must appear in no cell, and its points have no cell index.
+  for (const Ewah& bits : grid.large().bits) EXPECT_FALSE(bits.Test(0));
+  for (std::uint32_t c = 0; c < grid.NumSmallCells(); ++c) {
+    EXPECT_FALSE(grid.SmallBits(c).Test(0));
+  }
+  for (std::size_t j = 0; j < set[0].points.size(); ++j) {
+    EXPECT_EQ(grid.LargeCellOf(0, j), kNoCell);
+  }
   EXPECT_TRUE(grid.KeyList(0).empty());
 }
 

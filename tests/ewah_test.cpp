@@ -9,6 +9,7 @@
 
 #include "bitset/bitset_stats.hpp"
 #include "bitset/plain_bitset.hpp"
+#include "bitset/union_accumulator.hpp"
 #include "common/random.hpp"
 
 namespace mio {
@@ -236,6 +237,55 @@ TEST(EwahOpsTest, OrWithAccumulatorPattern) {
     acc.OrWith(cell_bits);
   }
   EXPECT_TRUE(acc.ToPlain() == ref);
+}
+
+TEST(EwahTest, ForEachNonZeroWordMatchesDecode) {
+  Pcg32 rng(17, 3);
+  Ewah e;
+  for (std::size_t i = 0; i < 5000; i += 1 + rng.NextBounded(40)) e.Set(i);
+  for (std::size_t i = 6000; i < 7000; ++i) e.Set(i);  // a run of ones
+  PlainBitset want = e.ToPlain();
+  PlainBitset got;
+  std::size_t prev = 0;
+  bool first = true;
+  e.ForEachNonZeroWord([&](std::size_t w, std::uint64_t v) {
+    EXPECT_NE(v, 0u);
+    if (!first) {
+      EXPECT_GT(w, prev);
+    }
+    prev = w;
+    first = false;
+    got.AssignWord(w, v);
+  });
+  EXPECT_TRUE(got == want);
+}
+
+TEST(UnionAccumulatorTest, MatchesEwahOrAndReportsChange) {
+  Pcg32 rng(23, 5);
+  for (int trial = 0; trial < 20; ++trial) {
+    UnionAccumulator acc(300);  // operands reach past it: it must grow
+    Ewah ref;
+    for (int op = 0; op < 12; ++op) {
+      Ewah b;
+      std::size_t i = rng.NextBounded(200);
+      const std::size_t end = i + rng.NextBounded(2000);
+      for (; i < end; i += 1 + rng.NextBounded(op % 3 == 0 ? 2 : 90)) {
+        b.Set(i);
+      }
+      const std::size_t before = ref.Count();
+      ref.OrWith(b);
+      EXPECT_EQ(acc.Or(b), ref.Count() != before);
+      EXPECT_EQ(acc.Count(), ref.Count());
+    }
+    // Or-ing a subset changes nothing.
+    EXPECT_FALSE(acc.Or(ref));
+    Ewah back = acc.ToEwah();
+    EXPECT_TRUE(back == ref);
+    EXPECT_EQ(back.Count(), ref.Count());
+    acc.Clear();
+    EXPECT_EQ(acc.Count(), 0u);
+    EXPECT_TRUE(acc.ToEwah().Empty());
+  }
 }
 
 TEST(EwahStatsTest, CompressionStatsAggregate) {

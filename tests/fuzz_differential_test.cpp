@@ -2,7 +2,17 @@
 // k, labels, grid reuse, strategies, radii), every answer differentially
 // checked against the NL oracle. One TEST_P instance per seed so failures
 // pinpoint a reproducible configuration.
+//
+// The adversarial suite aims at the sorted, flat grid layout: coordinates
+// straddling zero (floor keys and neighbour joins across the sign), points
+// exactly on cell boundaries at integer r, every point in one hub cell
+// (the octant layout), duplicate points, r <= 1, and planar data — each
+// checked against the oracle under sequential Query and QueryBatch.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/mio_engine.hpp"
 #include "test_utils.hpp"
@@ -76,6 +86,157 @@ TEST_P(FuzzDifferentialTest, RandomConfigurationsMatchOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialTest,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// --- Adversarial layouts -----------------------------------------------------
+
+enum class Shape { kStraddle, kLattice, kHub, kDuplicates, kPlanar };
+
+const char* ShapeName(Shape s) {
+  switch (s) {
+    case Shape::kStraddle:
+      return "straddle";
+    case Shape::kLattice:
+      return "lattice";
+    case Shape::kHub:
+      return "hub";
+    case Shape::kDuplicates:
+      return "duplicates";
+    case Shape::kPlanar:
+      return "planar";
+  }
+  return "?";
+}
+
+ObjectSet MakeAdversarial(Shape shape, Pcg32& rng) {
+  ObjectSet set;
+  const std::size_t n = 20 + rng.NextBounded(40);
+  for (std::size_t i = 0; i < n; ++i) {
+    Object o;
+    const std::size_t m = 1 + rng.NextBounded(8);
+    // Object centre in [-6, 6)^3: every lattice axis crosses zero.
+    const double cx = rng.NextDouble(-6.0, 6.0);
+    const double cy = rng.NextDouble(-6.0, 6.0);
+    const double cz = rng.NextDouble(-6.0, 6.0);
+    for (std::size_t j = 0; j < m; ++j) {
+      Point p;
+      switch (shape) {
+        case Shape::kStraddle:
+          p = {cx + 2.0 * rng.NextGaussian(), cy + 2.0 * rng.NextGaussian(),
+               cz + 2.0 * rng.NextGaussian()};
+          break;
+        case Shape::kLattice:
+          // Half-integer lattice: points sit on cell faces at integer
+          // widths and pairs lie at distance exactly r.
+          p = {0.5 * static_cast<int>(rng.NextBounded(17)) - 4.0,
+               0.5 * static_cast<int>(rng.NextBounded(17)) - 4.0,
+               0.5 * static_cast<int>(rng.NextBounded(5)) - 1.0};
+          break;
+        case Shape::kHub:
+          // Every point in [0, 1)^3, the single cell [0, w)^3 of every
+          // large-grid width w >= 1: the hub takes the octant layout.
+          p = {rng.NextDouble(0.0, 0.999), rng.NextDouble(0.0, 0.999),
+               rng.NextDouble(0.0, 0.999)};
+          break;
+        case Shape::kDuplicates:
+          if (j > 0 && rng.NextDouble() < 0.4) {
+            p = o.points[rng.NextBounded(static_cast<std::uint32_t>(j))];
+          } else if (i > 0 && rng.NextDouble() < 0.4) {
+            const Object& other =
+                set[rng.NextBounded(static_cast<std::uint32_t>(i))];
+            p = other.points[rng.NextBounded(
+                static_cast<std::uint32_t>(other.points.size()))];
+          } else {
+            p = {cx + rng.NextGaussian(), cy + rng.NextGaussian(),
+                 cz + rng.NextGaussian()};
+          }
+          break;
+        case Shape::kPlanar:
+          p = {cx + 2.0 * rng.NextGaussian(), cy + 2.0 * rng.NextGaussian(),
+               -3.0};
+          break;
+      }
+      o.points.push_back(p);
+    }
+    set.Add(std::move(o));
+  }
+  return set;
+}
+
+class AdversarialFuzzTest
+    : public ::testing::TestWithParam<std::tuple<Shape, std::uint64_t>> {};
+
+TEST_P(AdversarialFuzzTest, QueryAndBatchMatchOracle) {
+  const auto [shape, seed] = GetParam();
+  Pcg32 rng(seed, 0x61647673ULL);  // "advs"
+  const ObjectSet set = MakeAdversarial(shape, rng);
+  if (shape == Shape::kPlanar) {
+    ASSERT_TRUE(set.IsPlanar());
+  }
+
+  // Radii: sub-unit, integer (cell faces coincide with lattice points),
+  // and general.
+  std::vector<double> radii = {0.05 + rng.NextDouble() * 0.95, 1.0,
+                               static_cast<double>(2 + rng.NextBounded(3)),
+                               0.5 + rng.NextDouble() * 6.0};
+  std::vector<BatchQuery> batch;
+  for (double r : radii) {
+    QueryOptions opt;
+    opt.threads = 1 + static_cast<int>(rng.NextBounded(4));
+    opt.k = 1 + rng.NextBounded(4);
+    opt.use_labels = rng.NextDouble() < 0.5;
+    opt.record_labels = rng.NextDouble() < 0.7;
+    opt.reuse_grid = rng.NextDouble() < 0.5;
+    batch.push_back({r, opt});
+    // A same-ceiling sibling exercises label and grid sharing.
+    BatchQuery sibling = batch.back();
+    sibling.r = std::max(0.01, std::ceil(r) - 0.25 * rng.NextDouble());
+    sibling.options.threads = 1 + static_cast<int>(rng.NextBounded(4));
+    batch.push_back(sibling);
+  }
+
+  MioEngine sequential(set);
+  MioEngine batched(set);
+  const BatchResult batch_res = batched.QueryBatch(batch);
+  ASSERT_EQ(batch_res.results.size(), batch.size());
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    const BatchQuery& bq = batch[q];
+    const std::string where =
+        std::string(ShapeName(shape)) + " seed=" + std::to_string(seed) +
+        " q=" + std::to_string(q) + " r=" + std::to_string(bq.r) +
+        " threads=" + std::to_string(bq.options.threads) +
+        " labels=" + std::to_string(bq.options.use_labels) +
+        " reuse=" + std::to_string(bq.options.reuse_grid);
+    const std::vector<std::uint32_t> exact =
+        testing::OracleScores(set, bq.r);
+    const std::vector<ScoredObject> want =
+        TopKFromScores(exact, bq.options.k);
+
+    const QueryResult seq = sequential.Query(bq.r, bq.options);
+    const QueryResult& bat = batch_res.results[q];
+    ASSERT_TRUE(seq.complete) << where;
+    ASSERT_TRUE(bat.complete) << where;
+    ASSERT_EQ(seq.topk.size(), want.size()) << where;
+    ASSERT_EQ(bat.topk.size(), want.size()) << where;
+    for (std::size_t idx = 0; idx < want.size(); ++idx) {
+      EXPECT_EQ(seq.topk[idx].score, want[idx].score) << where;
+      EXPECT_EQ(exact[seq.topk[idx].id], seq.topk[idx].score) << where;
+      // Batch members are bit-identical to sequential queries.
+      EXPECT_EQ(bat.topk[idx].id, seq.topk[idx].id) << where;
+      EXPECT_EQ(bat.topk[idx].score, seq.topk[idx].score) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, AdversarialFuzzTest,
+    ::testing::Combine(::testing::Values(Shape::kStraddle, Shape::kLattice,
+                                         Shape::kHub, Shape::kDuplicates,
+                                         Shape::kPlanar),
+                       ::testing::Range<std::uint64_t>(1, 7)),
+    [](const ::testing::TestParamInfo<AdversarialFuzzTest::ParamType>& info) {
+      return std::string(ShapeName(std::get<0>(info.param))) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace mio

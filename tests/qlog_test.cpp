@@ -62,6 +62,7 @@ QlogRecord MakeFullRecord() {
   rec.candidates = 321;
   rec.verified = 54;
   rec.distance_computations = 987654;
+  rec.postings_visited = 4321;
   rec.winner_id = 17;
   rec.winner_score = 290;
   rec.label_outcome = "hit_disk";
@@ -81,6 +82,21 @@ QlogRecord MakeFullRecord() {
   rec.server_queue_wait_seconds = 0.004;
   rec.server_e2e_seconds = 0.131;
   return rec;
+}
+
+TEST(QlogRecord, RecordsWithoutPostingsVisitedStillParse) {
+  // postings_visited joined the funnel later; older records lack it.
+  QlogRecord rec = MakeFullRecord();
+  std::string line = QlogRecordToJsonLine(rec);
+  const std::string field = ",\"postings_visited\":4321";
+  const std::size_t at = line.find(field);
+  ASSERT_NE(at, std::string::npos);
+  line.erase(at, field.size());
+  ASSERT_TRUE(ValidateQlogLine(line).ok());
+  QlogRecord back;
+  ASSERT_TRUE(ParseQlogRecord(line, &back).ok());
+  EXPECT_EQ(back.postings_visited, 0u);
+  EXPECT_EQ(back.distance_computations, rec.distance_computations);
 }
 
 TEST(QlogRecord, RoundTripsEveryField) {
@@ -110,6 +126,7 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_EQ(back.candidates, rec.candidates);
   EXPECT_EQ(back.verified, rec.verified);
   EXPECT_EQ(back.distance_computations, rec.distance_computations);
+  EXPECT_EQ(back.postings_visited, rec.postings_visited);
   EXPECT_EQ(back.winner_id, rec.winner_id);
   EXPECT_EQ(back.winner_score, rec.winner_score);
   EXPECT_EQ(back.label_outcome, rec.label_outcome);

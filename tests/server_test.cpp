@@ -456,6 +456,29 @@ TEST_F(ServeTest, PingHealthAndMetricsOps) {
   EXPECT_FALSE(std::filesystem::exists(SocketPath()));
 }
 
+TEST_F(ServeTest, FinishedSessionsAreReaped) {
+  // Each connection gets its own session thread. Finished sessions are
+  // joined and dropped by the accept loop, so sequential one-request
+  // connections must not accumulate threads until drain.
+  StartServer();
+  ServeRequest ping;
+  ping.op = "ping";
+  constexpr int kConnections = 200;
+  for (int c = 0; c < kConnections; ++c) {
+    ServeResponse res;
+    ASSERT_TRUE(Call(Client(), ping, &res).ok()) << "connection " << c;
+    ASSERT_EQ(res.status, StatusCode::kOk);
+  }
+  // Sessions still winding down when the last connection was accepted
+  // are reaped at the next accept or at drain; a handful at most remain.
+  EXPECT_LE(server_->tracked_sessions(), 4u);
+  EXPECT_GE(obs::SnapshotMetrics().counters[static_cast<int>(
+                obs::Counter::kServerConnections)],
+            static_cast<std::uint64_t>(kConnections));
+  StopServer();
+  EXPECT_TRUE(serve_status_.ok()) << serve_status_.ToString();
+}
+
 int RawConnect(const std::string& path) {
   int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return -1;

@@ -859,10 +859,17 @@ int CmdExplain(const mio::ArgParser& args) {
     std::printf("  winner                object %u  tau=%u\n", res.best().id,
                 res.best().score);
   }
+  const mio::obs::MetricsSnapshot m = mio::obs::SnapshotMetrics();
+  const std::uint64_t scans = m.counters[static_cast<std::size_t>(
+      mio::obs::Counter::kPostingScans)];
   std::printf("\nwork: %zu distance computations, cells small/large %zu/%zu\n",
               st.distance_computations, st.cells_small, st.cells_large);
+  std::printf("postings: %zu visited, %llu scanned (visit/scan %.2f)\n",
+              st.postings_visited, static_cast<unsigned long long>(scans),
+              scans > 0 ? static_cast<double>(st.postings_visited) /
+                              static_cast<double>(scans)
+                        : 0.0);
   if (opt.use_labels) {
-    mio::obs::MetricsSnapshot m = mio::obs::SnapshotMetrics();
     std::uint64_t hits = m.counters[static_cast<std::size_t>(
         mio::obs::Counter::kLabelCacheHits)];
     std::uint64_t misses = m.counters[static_cast<std::size_t>(
