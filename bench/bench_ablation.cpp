@@ -18,6 +18,7 @@
 #include "baseline/rtree_mbr.hpp"
 #include "bench_common.hpp"
 #include "bitset/ewah.hpp"
+#include "bitset/union_accumulator.hpp"
 #include "core/bigrid.hpp"
 #include "core/lower_bound.hpp"
 #include "core/upper_bound.hpp"
@@ -36,10 +37,11 @@ std::vector<std::uint32_t> LowerBoundsAtWidth(const mio::ObjectSet& set,
     }
   }
   std::vector<std::uint32_t> lb(set.size(), 0);
+  mio::UnionAccumulator acc(set.size());
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
-    mio::Ewah acc;
+    acc.Clear();
     for (const mio::Point& p : set[i].points) {
-      acc.OrWith(cells[mio::KeyForWidth(p, width)]);
+      acc.Or(cells[mio::KeyForWidth(p, width)]);
     }
     std::size_t c = acc.Count();
     lb[i] = c > 0 ? static_cast<std::uint32_t>(c - 1) : 0;
@@ -123,12 +125,13 @@ void ReportUbGranularityAblation(const mio::ObjectSet& set, double r) {
 
   // One OR per distinct cell per object (grouped).
   mio::BiGrid g2(set, r);
-  g2.Build(nullptr, /*build_groups=*/true);
+  g2.Build(1, nullptr, /*build_groups=*/true);
   t.Restart();
+  mio::UnionAccumulator acc(set.size());
   for (mio::ObjectId i = 0; i < set.size(); ++i) {
-    mio::Ewah acc;
+    acc.Clear();
     for (const mio::PointGroup& g : g2.LargeGroups(i)) {
-      acc.OrWith(g2.EnsureAdj(g.cell).bits);
+      acc.Or(g2.EnsureAdj(g.cell).bits);
     }
     benchmark_sink += acc.Count();
   }

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
       // Shared grid build (not what Fig. 8 measures).
       mio::BiGrid grid(set, r);
-      grid.BuildParallel(t, nullptr, /*build_groups=*/true);
+      grid.Build(t, nullptr, /*build_groups=*/true);
 
       mio::Timer timer;
       mio::ParallelLowerBounding(grid, mio::LbStrategy::kGreedyDivideObjects,
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                                        mio::UbStrategy::kGreedyDivideObjects};
       for (int sidx = 0; sidx < 2; ++sidx) {
         mio::BiGrid g2(set, r);
-        g2.BuildParallel(t, nullptr, true);
+        g2.Build(t, nullptr, true);
         timer.Restart();
         mio::ParallelUpperBounding(g2, 0, strategies[sidx], t, nullptr,
                                    nullptr, nullptr);

@@ -37,6 +37,22 @@ class UnionAccumulator {
     return changed;
   }
 
+  /// this |= b — merges a per-thread partial union. Returns true when the
+  /// OR set at least one new bit.
+  bool Or(const UnionAccumulator& b) {
+    if (b.words_.size() > words_.size()) words_.resize(b.words_.size(), 0);
+    bool changed = false;
+    for (std::uint32_t w : b.touched_) {
+      const std::uint64_t old = words_[w];
+      const std::uint64_t now = old | b.words_[w];
+      if (now == old) continue;
+      if (old == 0) touched_.push_back(w);
+      words_[w] = now;
+      changed = true;
+    }
+    return changed;
+  }
+
   /// Number of set bits in the union.
   std::size_t Count() const {
     std::size_t n = 0;

@@ -195,7 +195,6 @@ void JoinNeighbours(const std::vector<CellKey>& keys,
 /// filled in cell order, so each is ascending.
 void FillSmallGrid(const std::vector<SmallEntry>& sorted, std::size_t n,
                    SmallGridData* out) {
-  out->keys.clear();
   out->bits.clear();
   out->bits_heap_bytes = 0;
   out->key_list_begin.assign(n + 1, 0);
@@ -207,8 +206,7 @@ void FillSmallGrid(const std::vector<SmallEntry>& sorted, std::size_t n,
   std::vector<Shared> shared;  // cells holding >= 2 objects
   for (std::size_t s = 0, e = 0; s < sorted.size(); s = e) {
     e = KeyRunEnd(sorted, s);
-    const auto c = static_cast<std::uint32_t>(out->keys.size());
-    out->keys.push_back(sorted[s].key);
+    const auto c = static_cast<std::uint32_t>(out->bits.size());
     bits.Reset();
     std::size_t distinct = 0;
     for (std::size_t k = s; k < e; ++k) {
@@ -225,7 +223,6 @@ void FillSmallGrid(const std::vector<SmallEntry>& sorted, std::size_t n,
       ++out->key_list_begin[sorted[k].obj + 1];
     }
   }
-  out->keys.shrink_to_fit();
   out->bits.shrink_to_fit();
   for (std::size_t i = 0; i < n; ++i) {
     out->key_list_begin[i + 1] += out->key_list_begin[i];
@@ -389,25 +386,10 @@ BiGrid::BiGrid(const ObjectSet& objects, double r, bool planar,
   }
 }
 
-void BiGrid::Build(const LabelSet* labels, bool build_groups,
+void BiGrid::Build(int threads, const LabelSet* labels, bool build_groups,
                    QueryGuard* guard) {
   MIO_TRACE_SPAN_CAT("grid.build", "grid");
-  BuildWith(1, labels, build_groups, guard);
-}
-
-void BiGrid::BuildParallel(int threads, const LabelSet* labels,
-                           bool build_groups, QueryGuard* guard) {
   threads = ResolveThreads(threads);
-  if (threads <= 1) {
-    Build(labels, build_groups, guard);
-    return;
-  }
-  MIO_TRACE_SPAN_CAT("grid.build_parallel", "grid");
-  BuildWith(threads, labels, build_groups, guard);
-}
-
-void BiGrid::BuildWith(int threads, const LabelSet* labels, bool build_groups,
-                       QueryGuard* guard) {
   const ObjectSet& objs = *objects_;
   const std::size_t n = objs.size();
   const bool build_large = !reused_large_;
@@ -550,14 +532,8 @@ void BiGrid::BuildGroups(const LabelSet* labels, int threads) {
 }
 
 // ---------------------------------------------------------------------------
-// Lookup
+// Neighbourhood unions
 // ---------------------------------------------------------------------------
-
-std::uint32_t BiGrid::FindSmallCell(const CellKey& k) const {
-  auto it = std::lower_bound(small_.keys.begin(), small_.keys.end(), k);
-  if (it == small_.keys.end() || !(*it == k)) return kNoCell;
-  return static_cast<std::uint32_t>(it - small_.keys.begin());
-}
 
 const CellAdj& BiGrid::EnsureAdj(std::uint32_t c) {
   LargeGridData& g = *large_;
@@ -587,8 +563,7 @@ const CellAdj& BiGrid::EnsureAdj(std::uint32_t c) {
 
 MemoryBreakdown BiGrid::MemoryUsage() const {
   MemoryBreakdown mb;
-  mb.Add("small_grid", VecBytes(small_.keys) + VecBytes(small_.bits) +
-                           small_.bits_heap_bytes);
+  mb.Add("small_grid", VecBytes(small_.bits) + small_.bits_heap_bytes);
 
   const LargeGridData& g = *large_;
   mb.Add("large_grid",

@@ -205,11 +205,10 @@ struct LargeGridData {
   }
 };
 
-/// The per-query small grid: cells in ascending key order with their
-/// bitsets b(c), and the key lists as CSR over objects (o_i.L is
+/// The per-query small grid: the bitsets b(c) of its cells in ascending
+/// key order, and the key lists as CSR over objects (o_i.L is
 /// key_list_cells[key_list_begin[i] .. key_list_begin[i+1])).
 struct SmallGridData {
-  std::vector<CellKey> keys;
   std::vector<Ewah> bits;
   std::size_t bits_heap_bytes = 0;  ///< heap bytes of `bits`
   std::vector<std::uint32_t> key_list_begin;
@@ -219,7 +218,7 @@ struct SmallGridData {
 /// The BIGrid index for one query threshold r over one object collection.
 class BiGrid {
  public:
-  /// Prepares an empty index; call Build (or the parallel builder) next.
+  /// Prepares an empty index; call Build next.
   /// `objects` must outlive the BiGrid. `planar` selects the 2-D small
   /// grid (width r/sqrt(2)) for constant-z data — sound only when every
   /// point shares one z value (the engine auto-detects this). `reuse`
@@ -228,21 +227,18 @@ class BiGrid {
   BiGrid(const ObjectSet& objects, double r, bool planar = false,
          std::shared_ptr<LargeGridData> reuse = nullptr);
 
-  /// GRID-MAPPING(O, r), serial (paper Algorithm 3). When `labels` is
+  /// GRID-MAPPING(O, r) (paper Algorithm 3; with threads > 1, §IV's
+  /// PARALLEL-GRID-MAPPING): cell keys are computed and radix-sorted by
+  /// `threads` workers (resolved like the engine's option, so 0 means every
+  /// core); every thread count produces the same layout. When `labels` is
   /// non-empty, points with a cleared kMap bit are skipped entirely
   /// (GRID-MAPPING-WITH-LABEL, Lemma 3). `build_groups` additionally
   /// materialises the P_{i,K} groups needed by the parallel phases.
   /// `guard` (optional) is polled on an amortised stride and checked
   /// against the "alloc.bigrid" fault site; a tripped guard abandons the
   /// build early (the grid is then incomplete and must be discarded).
-  void Build(const LabelSet* labels = nullptr, bool build_groups = false,
-             QueryGuard* guard = nullptr);
-
-  /// Parallel build (paper §IV, PARALLEL-GRID-MAPPING): cell keys are
-  /// computed and radix-sorted by `threads` workers; the result is the
-  /// same layout Build produces.
-  void BuildParallel(int threads, const LabelSet* labels = nullptr,
-                     bool build_groups = false, QueryGuard* guard = nullptr);
+  void Build(int threads = 1, const LabelSet* labels = nullptr,
+             bool build_groups = false, QueryGuard* guard = nullptr);
 
   const ObjectSet& objects() const { return *objects_; }
   double r() const { return r_; }
@@ -250,11 +246,10 @@ class BiGrid {
   double large_width() const { return large_->width; }
 
   // --- Small grid -------------------------------------------------------
-  std::size_t NumSmallCells() const { return small_.keys.size(); }
-  const CellKey& SmallKey(std::uint32_t c) const { return small_.keys[c]; }
+  /// Small cells are indexed in ascending key order; the keys themselves
+  /// are dropped once the key lists hold cell indices.
+  std::size_t NumSmallCells() const { return small_.bits.size(); }
   const Ewah& SmallBits(std::uint32_t c) const { return small_.bits[c]; }
-  /// Index of the small cell with key k (binary search), or kNoCell.
-  std::uint32_t FindSmallCell(const CellKey& k) const;
 
   /// o_i.L — small cells shared with at least one other object (exactly
   /// the cells that contribute to the lower bound), as cell indices.
@@ -300,9 +295,6 @@ class BiGrid {
   BitsetCompressionStats CompressionStats() const;
 
  private:
-  /// Shared body of Build/BuildParallel.
-  void BuildWith(int threads, const LabelSet* labels, bool build_groups,
-                 QueryGuard* guard);
   /// Builds the P_{i,K} groups once per LargeGridData. On a reused
   /// (shared) grid the build happens under the grid's stripe lock with a
   /// double check, so concurrent queries adopting the same cached grid

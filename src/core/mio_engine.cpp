@@ -203,11 +203,8 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
     MIO_TRACE_SPAN_CAT("grid_mapping", "query");
     ScopedAccumulator acc(&stats.phases.grid_mapping);
     obs::PmuPhaseScope pmu(&stats.hardware.grid_mapping);
-    if (parallel) {
-      grid.BuildParallel(threads, grid_labels, /*build_groups=*/true, &guard);
-    } else {
-      grid.Build(grid_labels, /*build_groups=*/false, &guard);
-    }
+    // The P_{i,K} groups feed only the parallel phases.
+    grid.Build(threads, grid_labels, /*build_groups=*/parallel, &guard);
   }
   stats.reused_grid = grid.reused_large_grid();
   stats.cells_small = grid.NumSmallCells();

@@ -125,7 +125,8 @@ LowerBoundResult LbHashPartition(const BiGrid& grid, int threads,
   // local bitsets, merge per object (the paper's LB-hash-p). Perfectly
   // balanced, but pays a parallel region + merge per object — exactly the
   // overhead Fig. 8 shows dominating when key lists are small.
-  std::vector<Ewah> locals(threads);
+  std::vector<UnionAccumulator> locals(threads, UnionAccumulator(n));
+  UnionAccumulator acc(n);
   for (ObjectId i = 0; i < n; ++i) {
     // Polled per object (not per stride): each iteration already pays for
     // a parallel region, so the poll cost is negligible here.
@@ -134,18 +135,18 @@ LowerBoundResult LbHashPartition(const BiGrid& grid, int threads,
 #pragma omp parallel num_threads(threads)
     {
       std::size_t t = static_cast<std::size_t>(ThreadId());
-      locals[t].Reset();
+      locals[t].Clear();
       for (std::size_t idx = t; idx < cells.size();
            idx += static_cast<std::size_t>(threads)) {
-        locals[t].OrWith(grid.SmallBits(cells[idx]));
+        locals[t].Or(grid.SmallBits(cells[idx]));
       }
     }
-    Ewah acc;
-    for (int t = 0; t < threads; ++t) acc.OrWith(locals[t]);
+    acc.Clear();
+    for (int t = 0; t < threads; ++t) acc.Or(locals[t]);
     std::size_t count = acc.Count();
     res.tau_low[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     res.tau_low_max = std::max(res.tau_low_max, res.tau_low[i]);
-    if (keep_bitsets) res.lb_bitsets[i] = std::move(acc);
+    if (keep_bitsets) res.lb_bitsets[i] = acc.ToEwah();
   }
   return res;
 }
@@ -198,7 +199,8 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
   UpperBoundResult res;
   res.tau_upp.assign(n, 0);
 
-  std::vector<Ewah> locals(threads);
+  std::vector<UnionAccumulator> locals(threads, UnionAccumulator(n));
+  UnionAccumulator acc(n);
   for (ObjectId i = 0; i < n; ++i) {
     // Per-object poll: each iteration spawns a parallel region anyway.
     if (guard != nullptr && guard->Poll()) break;
@@ -221,7 +223,7 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
 #pragma omp parallel num_threads(threads)
     {
       int t = ThreadId();
-      locals[t].Reset();
+      locals[t].Clear();
       for (std::size_t g = 0; g < groups.size(); ++g) {
         if (assign[g] != t) continue;
         const PointGroup& group = groups[g];
@@ -247,21 +249,17 @@ UpperBoundResult UbCostBasedGreedy(BiGrid& grid, std::uint32_t threshold,
           }
           continue;
         }
+        const bool changed = locals[t].Or(adj.bits);
         if (record_labels != nullptr) {
-          std::size_t before = locals[t].Count();
-          locals[t].OrWith(adj.bits);
-          bool changed = locals[t].Count() != before;
           // One OR per group: the first point carries it, the rest are
           // redundant (Observation 2); if nothing changed, all are.
           ClearUpperLabels(record_labels, i, group, /*keep_first=*/changed);
-        } else {
-          locals[t].OrWith(adj.bits);
         }
       }
     }
 
-    Ewah acc;
-    for (int t = 0; t < threads; ++t) acc.OrWith(locals[t]);
+    acc.Clear();
+    for (int t = 0; t < threads; ++t) acc.Or(locals[t]);
     std::size_t count = acc.Count();
     obs::Observe(obs::Histogram::kUbGroupsPerObject, groups.size());
     obs::Observe(obs::Histogram::kUbUnionBits, count);
@@ -300,6 +298,7 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
     // Private memo: slot of each cell in `memo`, or kNoCell.
     std::vector<std::uint32_t> memo_slot(large.NumCells(), kNoCell);
     std::vector<std::pair<Ewah, std::uint32_t>> memo;
+    UnionAccumulator acc(n);
     std::size_t done = 0;
     for (ObjectId i = 0; i < n; ++i) {
       if (assign[i] != t) continue;
@@ -308,8 +307,7 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
         break;  // each worker drains independently
       }
       const Object& o = objects[i];
-      Ewah acc;
-      std::size_t acc_count = 0;
+      acc.Clear();
       for (std::size_t j = 0; j < o.points.size(); ++j) {
         if (use_labels != nullptr) {
           std::uint8_t l = use_labels->Get(i, j);
@@ -332,17 +330,12 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
               static_cast<std::uint8_t>(~label::kMap);
           continue;
         }
-        acc.OrWith(adj);
-        if (record_labels != nullptr) {
-          std::size_t new_count = acc.Count();
-          if (new_count == acc_count) {
-            record_labels->labels[i][j] &=
-                static_cast<std::uint8_t>(~label::kUpper);
-          }
-          acc_count = new_count;
+        if (!acc.Or(adj) && record_labels != nullptr) {
+          record_labels->labels[i][j] &=
+              static_cast<std::uint8_t>(~label::kUpper);
         }
       }
-      std::size_t count = record_labels != nullptr ? acc_count : acc.Count();
+      const std::size_t count = acc.Count();
       res.tau_upp[i] = count > 0 ? static_cast<std::uint32_t>(count - 1) : 0;
     }
     pmu.Leave(t);

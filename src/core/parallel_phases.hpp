@@ -8,7 +8,7 @@
 //                     (divide O by |P_i|, per-thread b_adj memos);
 //   verification    — per-candidate point partitioning with per-core
 //                     accumulators merged after the scan.
-// The parallel grid mapping lives on BiGrid::BuildParallel.
+// The parallel grid mapping lives on BiGrid::Build (threads > 1).
 #pragma once
 
 #include "core/bigrid.hpp"

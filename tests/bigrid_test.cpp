@@ -38,17 +38,14 @@ TEST(BiGridTest, SmallCellBitsMatchBruteForce) {
       want[{k.x, k.y, k.z}].insert(i);
     }
   }
-  EXPECT_EQ(grid.NumSmallCells(), want.size());
+  // Cells are indexed in ascending key order (the map's order, since
+  // tuples compare like CellKey: x, then y, then z).
+  ASSERT_EQ(grid.NumSmallCells(), want.size());
+  std::uint32_t cell = 0;
   for (const auto& [kt, objs] : want) {
-    const std::uint32_t cell = grid.FindSmallCell(
-        CellKey{std::get<0>(kt), std::get<1>(kt), std::get<2>(kt)});
-    ASSERT_NE(cell, kNoCell);
     EXPECT_EQ(grid.SmallBits(cell).Count(), objs.size());
     for (ObjectId o : objs) EXPECT_TRUE(grid.SmallBits(cell).Test(o));
-  }
-  // Cells are stored in ascending key order.
-  for (std::uint32_t c = 1; c < grid.NumSmallCells(); ++c) {
-    EXPECT_TRUE(grid.SmallKey(c - 1) < grid.SmallKey(c));
+    ++cell;
   }
 }
 
@@ -66,6 +63,11 @@ TEST(BiGridTest, KeyListsAreExactlyMultiObjectCells) {
       cells[{k.x, k.y, k.z}].insert(i);
     }
   }
+  // Key lists hold cell indices; cell c is the c-th key in sorted order
+  // (SmallCellBitsMatchBruteForce).
+  std::vector<std::tuple<int, int, int>> key_of;
+  for (const auto& entry : cells) key_of.push_back(entry.first);
+  ASSERT_EQ(grid.NumSmallCells(), key_of.size());
   for (ObjectId i = 0; i < set.size(); ++i) {
     std::set<std::tuple<int, int, int>> want;
     for (const auto& [kt, objs] : cells) {
@@ -73,8 +75,8 @@ TEST(BiGridTest, KeyListsAreExactlyMultiObjectCells) {
     }
     std::set<std::tuple<int, int, int>> got;
     for (std::uint32_t c : grid.KeyList(i)) {
-      const CellKey& k = grid.SmallKey(c);
-      got.insert({k.x, k.y, k.z});
+      ASSERT_LT(c, key_of.size());
+      got.insert(key_of[c]);
     }
     EXPECT_EQ(got, want) << "object " << i;
     EXPECT_EQ(grid.KeyList(i).size(), got.size()) << "duplicate keys";
@@ -208,10 +210,10 @@ TEST(BiGridTest, NoEmptyCells) {
 TEST(BiGridTest, RebuildReplacesTheGrid) {
   ObjectSet set = testing::MakeRandomObjects(15, 3, 6, 20.0, 13);
   BiGrid grid(set, 3.0);
-  grid.Build(nullptr, /*build_groups=*/true);
+  grid.Build(1, nullptr, /*build_groups=*/true);
   const std::size_t cells = grid.NumLargeCells();
   const std::size_t small_cells = grid.NumSmallCells();
-  grid.Build(nullptr, /*build_groups=*/true);
+  grid.Build(1, nullptr, /*build_groups=*/true);
   EXPECT_EQ(grid.NumLargeCells(), cells);
   EXPECT_EQ(grid.NumSmallCells(), small_cells);
   EXPECT_EQ(grid.large().NumPostingPoints(), set.Stats().nm);
@@ -229,18 +231,17 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
   ObjectSet set = testing::MakeRandomObjects(3000, 20, 40, 60.0, 8);
   double r = 4.5;
   BiGrid serial(set, r);
-  serial.Build(nullptr, true);
+  serial.Build(1, nullptr, true);
   const LargeGridData& s = serial.large();
   for (int threads : {2, 4}) {
     BiGrid parallel(set, r);
-    parallel.BuildParallel(threads, nullptr, true);
+    parallel.Build(threads, nullptr, true);
     const LargeGridData& p = parallel.large();
     ASSERT_EQ(parallel.NumSmallCells(), serial.NumSmallCells());
     ASSERT_EQ(parallel.NumLargeCells(), serial.NumLargeCells());
 
     // The same layout, array for array.
     for (std::uint32_t c = 0; c < serial.NumSmallCells(); ++c) {
-      ASSERT_EQ(parallel.SmallKey(c), serial.SmallKey(c));
       ASSERT_TRUE(parallel.SmallBits(c) == serial.SmallBits(c));
     }
     for (ObjectId i = 0; i < set.size(); ++i) {
@@ -306,7 +307,7 @@ TEST(BiGridTest, BuildWithLabelsSkipsPrunedPoints) {
   // Prune every point of object 0.
   for (auto& l : labels.labels[0]) l &= ~label::kMap;
   BiGrid grid(set, 4.0);
-  grid.Build(&labels);
+  grid.Build(1, &labels);
   // Object 0 must appear in no cell, and its points have no cell index.
   for (const Ewah& bits : grid.large().bits) EXPECT_FALSE(bits.Test(0));
   for (std::uint32_t c = 0; c < grid.NumSmallCells(); ++c) {

@@ -264,6 +264,7 @@ TEST(UnionAccumulatorTest, MatchesEwahOrAndReportsChange) {
   Pcg32 rng(23, 5);
   for (int trial = 0; trial < 20; ++trial) {
     UnionAccumulator acc(300);  // operands reach past it: it must grow
+    UnionAccumulator even, odd;  // partial unions, merged below
     Ewah ref;
     for (int op = 0; op < 12; ++op) {
       Ewah b;
@@ -276,7 +277,16 @@ TEST(UnionAccumulatorTest, MatchesEwahOrAndReportsChange) {
       ref.OrWith(b);
       EXPECT_EQ(acc.Or(b), ref.Count() != before);
       EXPECT_EQ(acc.Count(), ref.Count());
+      (op % 2 == 0 ? even : odd).Or(b);
     }
+    // Merging the partial unions rebuilds the whole one.
+    UnionAccumulator merged;
+    merged.Or(even);
+    merged.Or(odd);
+    EXPECT_EQ(merged.Count(), ref.Count());
+    EXPECT_TRUE(merged.ToEwah() == ref);
+    EXPECT_FALSE(merged.Or(acc));
+    EXPECT_FALSE(acc.Or(merged));
     // Or-ing a subset changes nothing.
     EXPECT_FALSE(acc.Or(ref));
     Ewah back = acc.ToEwah();

@@ -59,7 +59,7 @@ TEST_P(ParallelPhaseTest, LowerBoundingStrategiesMatchSerial) {
   const ParallelCase& c = GetParam();
   ObjectSet set = MakeSet();
   BiGrid grid(set, c.r);
-  grid.Build(nullptr, true);
+  grid.Build(1, nullptr, true);
 
   LowerBoundResult serial = LowerBounding(grid, true);
   for (LbStrategy strategy : {LbStrategy::kGreedyDivideObjects,
@@ -85,12 +85,31 @@ TEST_P(ParallelPhaseTest, UpperBoundingStrategiesMatchSerial) {
   for (UbStrategy strategy :
        {UbStrategy::kCostBasedGreedy, UbStrategy::kGreedyDivideObjects}) {
     BiGrid pgrid(set, c.r);
-    pgrid.BuildParallel(c.threads, nullptr, true);
+    pgrid.Build(c.threads, nullptr, true);
     UpperBoundResult par = ParallelUpperBounding(
         pgrid, 0, strategy, c.threads, nullptr, nullptr, nullptr);
     EXPECT_EQ(par.tau_upp, serial.tau_upp)
         << "strategy=" << static_cast<int>(strategy);
   }
+}
+
+TEST_P(ParallelPhaseTest, GreedyDivideRecordsTheSerialLabels) {
+  // UB-greedy-d ORs each object's points in order on one core, as the
+  // serial pass does, so Labeling-1/2 must clear exactly the same bits.
+  const ParallelCase& c = GetParam();
+  ObjectSet set = MakeSet();
+
+  BiGrid sgrid(set, c.r);
+  sgrid.Build();
+  LabelSet serial = LabelSet::MakeAllOnes(set);
+  UpperBounding(sgrid, 0, nullptr, &serial, nullptr);
+
+  BiGrid pgrid(set, c.r);
+  pgrid.Build(c.threads, nullptr, true);
+  LabelSet par = LabelSet::MakeAllOnes(set);
+  ParallelUpperBounding(pgrid, 0, UbStrategy::kGreedyDivideObjects,
+                        c.threads, nullptr, &par, nullptr);
+  EXPECT_EQ(par.labels, serial.labels);
 }
 
 TEST_P(ParallelPhaseTest, FullParallelQueryMatchesSerial) {

@@ -561,7 +561,7 @@ TEST_F(RobustnessTest, MemoryBudgetDegradationLadder) {
     Result<LabelSet> labels = store.Load(ceil_r, set);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
     BiGrid labeled_grid(set, r);
-    labeled_grid.Build(&labels.value());
+    labeled_grid.Build(1, &labels.value());
     const std::size_t labeled_build_bytes =
         labeled_grid.MemoryUsage().Total();
     QueryOptions opt;
