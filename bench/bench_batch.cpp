@@ -57,14 +57,14 @@ int main(int argc, char** argv) {
     double seq_wall = 0.0;
     {
       mio::MioEngine engine(set);
-      mio::QueryStats agg;
+      mio::QueryResult agg;
       sink.Begin();
       mio::Timer timer;
       for (const mio::BatchQuery& q : batch) {
-        Accumulate(&agg, engine.Query(q.r, q.options).stats);
+        Accumulate(&agg.stats, engine.Query(q.r, q.options).stats);
       }
       seq_wall = timer.ElapsedSeconds();
-      agg.total_seconds = seq_wall;
+      agg.stats.total_seconds = seq_wall;
       sink.Record(name, "sequential", 0.0, 1, threads, seq_wall, agg);
     }
 
@@ -74,15 +74,15 @@ int main(int argc, char** argv) {
     mio::BatchStats bstats;
     {
       mio::MioEngine engine(set);
-      mio::QueryStats agg;
+      mio::QueryResult agg;
       sink.Begin();
       mio::Timer timer;
       mio::BatchResult res = engine.QueryBatch(batch);
       batch_wall = timer.ElapsedSeconds();
       for (const mio::QueryResult& r : res.results) {
-        Accumulate(&agg, r.stats);
+        Accumulate(&agg.stats, r.stats);
       }
-      agg.total_seconds = batch_wall;
+      agg.stats.total_seconds = batch_wall;
       bstats = res.stats;
       sink.Record(name, "batch", 0.0, 1, threads, batch_wall, agg);
     }

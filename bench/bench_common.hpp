@@ -17,6 +17,7 @@
 #include "datagen/presets.hpp"
 #include "object/sampling.hpp"
 #include "obs/metrics.hpp"
+#include "obs/qlog.hpp"
 #include "obs/stats_sink.hpp"
 
 namespace mio {
@@ -96,17 +97,22 @@ inline void Header(const std::string& title) {
 }
 
 /// Machine-readable bench output: when --json-out=FILE is given, each
-/// measured run appends one `mio-stats-v1` JSON document (JSONL, "-" for
-/// stdout). `Begin()` resets the metrics registry so counter/histogram
-/// values are per-run, not cumulative across the harness.
+/// measured run appends one `mio-qlog-v1` record (JSONL, "-" for stdout)
+/// whose `workload` is the harness name. `Begin()` resets the metrics
+/// registry so the record's metrics section is per-run, not cumulative
+/// across the harness.
 class JsonSink {
  public:
   JsonSink(const ArgParser& args, std::string bench)
-      : path_(args.GetString("json-out", "")),
-        bench_(std::move(bench)),
-        scale_(SelectScale(args) == datagen::Scale::kFull ? "full" : "quick") {}
+      : bench_(std::move(bench)),
+        scale_(SelectScale(args) == datagen::Scale::kFull ? "full" : "quick") {
+    std::string path = args.GetString("json-out", "");
+    if (path.empty()) return;
+    Status st = out_.Open(path, /*append=*/true);
+    if (!st.ok()) std::fprintf(stderr, "json-out: %s\n", st.ToString().c_str());
+  }
 
-  bool enabled() const { return !path_.empty(); }
+  bool enabled() const { return out_.is_open(); }
 
   /// Call immediately before the measured region.
   void Begin() const {
@@ -116,36 +122,28 @@ class JsonSink {
   /// Call after the measured region; appends one JSONL record.
   void Record(const std::string& dataset, const std::string& algo, double r,
               std::size_t k, int threads, double wall_seconds,
-              const QueryStats& stats) const {
+              const QueryResult& result) {
     if (!enabled()) return;
-    obs::RunInfo info;
-    info.bench = bench_;
-    info.dataset = dataset;
-    info.algo = algo;
-    info.r = r;
-    info.k = k;
-    info.threads = threads;
-    info.scale = scale_;
-    info.wall_seconds = wall_seconds;
+    obs::QlogRecord id;
+    id.query_index = out_.records_written();
+    id.workload = bench_;
+    id.dataset = dataset;
+    id.algo = algo;
+    id.r = r;
+    id.k = k;
+    id.threads = threads;
+    id.scale = scale_;
+    id.wall_seconds = wall_seconds;
     obs::MetricsSnapshot metrics = obs::SnapshotMetrics();
-    std::string line = obs::StatsJson(stats, info, &metrics) + "\n";
-    if (path_ == "-") {
-      std::fwrite(line.data(), 1, line.size(), stdout);
-      return;
-    }
-    std::FILE* f = std::fopen(path_.c_str(), "a");
-    if (f == nullptr) {
-      std::fprintf(stderr, "json-out: cannot open %s\n", path_.c_str());
-      return;
-    }
-    std::fwrite(line.data(), 1, line.size(), f);
-    std::fclose(f);
+    Status st =
+        out_.Append(obs::QlogRecordFromResult(std::move(id), result, &metrics));
+    if (!st.ok()) std::fprintf(stderr, "json-out: %s\n", st.ToString().c_str());
   }
 
  private:
-  std::string path_;
   std::string bench_;
   std::string scale_;
+  obs::QlogWriter out_;
 };
 
 }  // namespace bench

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         mio::QueryResult res =
             mio::bench::RunAlgorithm(algo, engine, set, r, t);
         double elapsed = timer.ElapsedSeconds();
-        sink.Record(name, algo, r, 1, t, elapsed, res.stats);
+        sink.Record(name, algo, r, 1, t, elapsed, res);
         times[name][algo][t] = elapsed;
         std::printf("%-10s %-14s %4d %12s %10u\n", name.c_str(), algo.c_str(),
                     t, mio::bench::Sec(elapsed).c_str(), res.best().score);

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       sink.Begin();
       mio::Timer timer;
       mio::QueryResult res = engine.Query(r);
-      sink.Record(name, "bigrid", r, 1, 1, timer.ElapsedSeconds(), res.stats);
+      sink.Record(name, "bigrid", r, 1, 1, timer.ElapsedSeconds(), res);
       const mio::PhaseTimes& p = res.stats.phases;
       std::printf("%-10s %-14s %12s %13s %15s %15s %13s %11s\n", name.c_str(),
                   "BIGrid", "-", mio::bench::Sec(p.grid_mapping).c_str(),
@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
       sink.Begin();
       mio::Timer timer;
       mio::QueryResult res = engine.Query(r, opt);
-      sink.Record(name, "bigrid-label", r, 1, 1, timer.ElapsedSeconds(),
-                  res.stats);
+      sink.Record(name, "bigrid-label", r, 1, 1, timer.ElapsedSeconds(), res);
       const mio::PhaseTimes& p = res.stats.phases;
       std::printf("%-10s %-14s %12s %13s %15s %15s %13s %11s\n", name.c_str(),
                   "BIGrid-label", mio::bench::Sec(p.label_input).c_str(),

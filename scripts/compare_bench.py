@@ -2,12 +2,14 @@
 """Compare two mio bench record files and flag regressions.
 
 Records (JSONL — the output of scripts/run_benches.sh, `--json-out`, or
-`mio query --stats-json`) are matched by (bench, dataset, algo, r, k,
-threads, scale). Both record kinds run_benches.sh emits are understood:
-mio-stats-v1 harness records, and mio-qlog-v1 per-query workload records
-(keyed as bench "workload:<name>", so a workload configuration repeated
-across its radius cycle reduces to per-radius medians like repeated
-harness runs do). A leading `mio-bench-header-v1` machine-identity line
+`mio query --stats-json`) are mio-qlog-v1 per-query records, matched by
+(bench, dataset, algo, r, k, threads, scale) where bench is the record's
+`workload`: the harness name for --json-out records, the spec name for
+workload records (a workload configuration repeated across its radius
+cycle reduces to per-radius medians like repeated harness runs do).
+Legacy mio-stats-v1 harness records (BENCH_PR4.json-BENCH_PR6.json) are
+keyed the same way from their `bench` field, so old baselines still
+match fresh runs. A leading `mio-bench-header-v1` machine-identity line
 is skipped. A configuration repeated within one file (run_benches.sh
 repeats each harness for exactly this reason) is reduced to the median
 of the compared metric, so a single noisy run cannot fake a regression.
@@ -46,11 +48,10 @@ def load_records(path):
                 header = doc
             if schema in SKIPPED_SCHEMAS:
                 continue
+            # total_seconds / wall_seconds / phases.* share metric paths
+            # across both schemas.
             if schema == "mio-qlog-v1":
-                # Workload per-query record: the workload name plays the
-                # bench role; wall_seconds / total_seconds / phases.* are
-                # reachable through the same metric paths.
-                bench = "workload:" + doc.get("workload", "")
+                bench = doc.get("workload", "")
             elif schema == "mio-stats-v1":
                 bench = doc.get("bench", "")
             else:

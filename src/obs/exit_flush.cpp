@@ -24,10 +24,11 @@ std::mutex g_mu;
 ExitFlushConfig g_cfg;
 std::atomic<bool> g_armed{false};
 bool g_hooks_installed = false;
+std::string g_stats_line;  ///< the rendered stats fallback record
 
 // Signal-handler view of the stats fallback: a stable byte buffer and
 // path, published before g_armed flips true. Sized generously — the
-// fallback document is a few hundred bytes of run identity.
+// fallback record is well under 1 KiB of run identity.
 constexpr std::size_t kSigBufCap = 4096;
 char g_sig_stats_path[kSigBufCap];
 char g_sig_stats_doc[kSigBufCap];
@@ -62,6 +63,17 @@ void SignalHandler(int sig) {
 
 void AtExitHook() { FlushObservabilityNow(); }
 
+/// The stats fallback: the armed query's identity as one qlog record
+/// that says the query never finished.
+std::string TruncatedRecordLine(QlogRecord identity) {
+  QueryResult interrupted;
+  interrupted.status = Status::Cancelled("interrupted mid-query");
+  interrupted.complete = false;
+  QlogRecord rec = QlogRecordFromResult(std::move(identity), interrupted);
+  rec.truncated = true;
+  return QlogRecordToJsonLine(rec);
+}
+
 }  // namespace
 
 void ArmExitFlush(ExitFlushConfig cfg) {
@@ -73,13 +85,15 @@ void ArmExitFlush(ExitFlushConfig cfg) {
     g_hooks_installed = true;
   }
   // Stage the signal-path buffers before publishing the armed flag.
+  g_stats_line =
+      cfg.stats_path.empty() ? "" : TruncatedRecordLine(cfg.stats_identity);
   g_sig_stats_len = 0;
   if (!cfg.stats_path.empty() && cfg.stats_path.size() < kSigBufCap &&
-      cfg.stats_document.size() + 1 < kSigBufCap) {
+      g_stats_line.size() + 1 < kSigBufCap) {
     cfg.stats_path.copy(g_sig_stats_path, cfg.stats_path.size());
     g_sig_stats_path[cfg.stats_path.size()] = '\0';
-    cfg.stats_document.copy(g_sig_stats_doc, cfg.stats_document.size());
-    g_sig_stats_len = cfg.stats_document.size();
+    g_stats_line.copy(g_sig_stats_doc, g_stats_line.size());
+    g_sig_stats_len = g_stats_line.size();
   }
   g_cfg = std::move(cfg);
   g_armed.store(true, std::memory_order_release);
@@ -103,8 +117,8 @@ void FlushObservabilityNow() {
     (void)Tracer::Instance().WriteChromeTrace(g_cfg.trace_path,
                                               /*truncated=*/true);
   }
-  if (!g_cfg.stats_path.empty() && !g_cfg.stats_document.empty()) {
-    (void)WriteTextFile(g_cfg.stats_path, g_cfg.stats_document + "\n");
+  if (!g_cfg.stats_path.empty()) {
+    (void)WriteTextFile(g_cfg.stats_path, g_stats_line + "\n");
   }
   if (!g_cfg.metrics_path.empty()) {
     // Full-fidelity final exposition: atexit runs on a normal stack, so

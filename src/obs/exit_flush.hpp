@@ -4,14 +4,16 @@
 // a library std::exit, an unwound fatal error) instead of the normal
 // emission at the end of the command.
 //
-// Protocol: the CLI arms the flusher with the output paths (and a
-// pre-rendered minimal stats document) before running the query, and
-// disarms it after the normal emission succeeds. If the process exits
-// while armed:
+// Protocol: the CLI arms the flusher with the output paths and the
+// identity of the query it is about to run, and disarms it after the
+// normal emission succeeds. Arming renders the stats fallback: one
+// mio-qlog-v1 record of that identity with outcome.complete = false,
+// status Cancelled and `"truncated": true`, so an interrupted run still
+// loads with `mio qlog report`. If the process exits while armed:
 //  - atexit: the trace ring is exported with a top-level
-//    `"truncated": true` marker and the fallback stats document is
-//    written — both full-fidelity, since atexit runs on a normal stack;
-//  - SIGINT/SIGTERM: only the pre-rendered stats document is written
+//    `"truncated": true` marker and the fallback record is written —
+//    both full-fidelity, since atexit runs on a normal stack;
+//  - SIGINT/SIGTERM: only the pre-rendered fallback record is written
 //    (open/write/close are async-signal-safe; JSON rendering is not),
 //    then the signal is re-raised with default disposition so the exit
 //    status stays honest.
@@ -19,15 +21,18 @@
 
 #include <string>
 
+#include "obs/qlog.hpp"
+
 namespace mio {
 namespace obs {
 
 struct ExitFlushConfig {
   std::string trace_path;  ///< "" = no trace flush
   std::string stats_path;  ///< "" = no stats flush ("-" writes stderr-safe fd 1)
-  /// Complete JSON document written verbatim as the stats fallback. Must
-  /// already carry its truncation marker (`"truncated": true`).
-  std::string stats_document;
+  /// Run identity of the armed query (workload, dataset, algo, r, k,
+  /// threads, objects); the stats fallback is this record, marked
+  /// incomplete and truncated.
+  QlogRecord stats_identity;
   /// "" = no metrics flush. On the atexit path a fresh OpenMetrics
   /// exposition of the registry (+ process health) is rendered and
   /// written atomically here. The signal path deliberately skips it:

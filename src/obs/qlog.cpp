@@ -59,6 +59,119 @@ const double* PhaseField(const QlogRecord* rec, std::size_t i) {
   return PhaseField(const_cast<QlogRecord*>(rec), i);
 }
 
+QlogLatencySummary SummarizeLatency(std::vector<double> values) {
+  QlogLatencySummary s;
+  if (values.empty()) return s;
+  s.min = *std::min_element(values.begin(), values.end());
+  s.max = *std::max_element(values.begin(), values.end());
+  for (double v : values) s.sum += v;
+  s.mean = s.sum / static_cast<double>(values.size());
+  // Percentile sorts a copy per call; fine at report scale.
+  s.p50 = Percentile(values, 0.50);
+  s.p95 = Percentile(values, 0.95);
+  s.p99 = Percentile(values, 0.99);
+  return s;
+}
+
+// --- Optional detail sections (writer side) ---------------------------------
+
+void WritePmuCounts(JsonWriter& w, const char* key, const PmuCounts& c) {
+  if (c.Empty()) return;
+  w.Key(key).BeginObject();
+  for (int e = 0; e < kNumPmuEvents; ++e) {
+    PmuEvent pe = static_cast<PmuEvent>(e);
+    std::uint64_t v = c.Get(pe);
+    if (v == 0 && !c.valid) continue;  // timing tier: task_clock_ns only
+    w.Key(PmuEventName(pe)).UInt(v);
+  }
+  if (c.valid) {
+    w.Key("ipc").Double(c.Ipc());
+    w.Key("cache_miss_rate").Double(c.CacheMissRate());
+    w.Key("branch_misses_per_ki").Double(c.BranchMissesPerKiloInstructions());
+  }
+  w.EndObject();
+}
+
+void WriteHardware(JsonWriter& w, const QlogRecord& rec) {
+  PmuCounts total;
+  for (const PmuCounts& c : rec.hardware) total += c;
+  if (total.Empty()) return;  // never sampled (baselines, compiled out)
+  w.Key("hardware").BeginObject();
+  w.Key("phases").BeginObject();
+  for (std::size_t i = 0; i < 5; ++i) {
+    WritePmuCounts(w, kPhaseNames[i], rec.hardware[i]);
+  }
+  WritePmuCounts(w, "total", total);
+  w.EndObject();
+  if (total.valid) {
+    w.Key("derived").BeginObject();
+    if (rec.points > 0) {
+      w.Key("cycles_per_point")
+          .Double(static_cast<double>(total.Get(PmuEvent::kCycles)) /
+                  static_cast<double>(rec.points));
+    }
+    if (rec.verified > 0) {
+      w.Key("cycles_per_candidate")
+          .Double(static_cast<double>(rec.hardware[4].Get(PmuEvent::kCycles)) /
+                  static_cast<double>(rec.verified));
+    }
+    w.EndObject();
+  }
+  w.EndObject();
+}
+
+void WriteLoadBalance(JsonWriter& w, const std::vector<double>& seconds) {
+  if (seconds.empty()) return;
+  QlogLatencySummary s = SummarizeLatency(seconds);
+  w.Key("verify_load_balance").BeginObject();
+  w.Key("workers").UInt(seconds.size());
+  w.Key("per_thread_seconds").BeginArray();
+  for (double sec : seconds) w.Double(sec);
+  w.EndArray();
+  w.Key("min_seconds").Double(s.min);
+  w.Key("max_seconds").Double(s.max);
+  w.Key("mean_seconds").Double(s.mean);
+  // max/mean: 1.0 is perfectly balanced (paper Fig. 9).
+  w.Key("imbalance").Double(s.mean > 0.0 ? s.max / s.mean : 0.0);
+  w.EndObject();
+}
+
+void WriteMetrics(JsonWriter& w, const MetricsSnapshot& m) {
+  w.Key("metrics").BeginObject();
+  w.Key("counters").BeginObject();
+  for (int c = 0; c < kNumCounters; ++c) {
+    std::uint64_t v = m.counters[static_cast<std::size_t>(c)];
+    if (v == 0) continue;
+    w.Key(CounterName(static_cast<Counter>(c))).UInt(v);
+  }
+  w.EndObject();
+  w.Key("histograms").BeginObject();
+  for (int h = 0; h < kNumHistograms; ++h) {
+    const HistogramSnapshot& hist = m.histograms[static_cast<std::size_t>(h)];
+    if (hist.count == 0) continue;
+    w.Key(HistogramName(static_cast<Histogram>(h))).BeginObject();
+    w.Key("count").UInt(hist.count);
+    w.Key("sum").UInt(hist.sum);
+    w.Key("min").UInt(hist.min);
+    w.Key("max").UInt(hist.max);
+    w.Key("mean").Double(hist.Mean());
+    w.Key("p50").Double(hist.Percentile(0.50));
+    w.Key("p90").Double(hist.Percentile(0.90));
+    w.Key("p99").Double(hist.Percentile(0.99));
+    // Sparse bucket map: "log2_bucket" -> count, upper bound 2^b exclusive.
+    w.Key("log2_buckets").BeginObject();
+    for (int b = 0; b < HistogramSnapshot::kBuckets; ++b) {
+      std::uint64_t n = hist.buckets[static_cast<std::size_t>(b)];
+      if (n == 0) continue;
+      w.Key(std::to_string(b)).UInt(n);
+    }
+    w.EndObject();
+    w.EndObject();
+  }
+  w.EndObject();
+  w.EndObject();
+}
+
 // --- Validation helpers ------------------------------------------------------
 
 Status Missing(const char* section, const char* field) {
@@ -95,6 +208,69 @@ Result<const JsonValue*> RequireObject(const JsonValue& root,
         std::string("qlog: missing or wrong-typed section ") + field);
   }
   return v;
+}
+
+/// An optional section: nullptr when absent, an error when present but
+/// not an object.
+Result<const JsonValue*> OptionalObject(const JsonValue& parent,
+                                        const char* field) {
+  const JsonValue* v = parent.Find(field);
+  if (v != nullptr && !v->IsObject()) {
+    return Status::InvalidArgument(
+        std::string("qlog: wrong-typed section ") + field);
+  }
+  return v;
+}
+
+/// True when every leaf under `v` is a number or a bool: the detail
+/// sections hold counts, seconds, rates and flags only.
+bool ScalarLeaves(const JsonValue& v) {
+  for (const auto& [name, member] : v.members()) {
+    if (!ScalarLeaves(member)) return false;
+  }
+  for (const JsonValue& element : v.elements()) {
+    if (!ScalarLeaves(element)) return false;
+  }
+  return v.IsObject() || v.IsArray() || v.IsNumber() || v.IsBool();
+}
+
+/// The optional detail sections, checked only when present: each must
+/// be an object of scalars carrying its required fields.
+Status CheckDetailSections(const JsonValue& doc, const JsonValue& memory) {
+  const JsonValue* truncated = doc.Find("truncated");
+  if (truncated != nullptr && !truncated->IsBool()) {
+    return Missing("", "truncated");
+  }
+  struct Section {
+    const JsonValue* parent;
+    const char* name;
+    std::vector<const char*> required;
+  };
+  const Section sections[] = {
+      {&doc, "hardware", {"phases"}},
+      {&doc, "verify_load_balance",
+       {"workers", "per_thread_seconds", "imbalance"}},
+      {&doc, "compression",
+       {"num_bitsets", "compressed_bytes", "uncompressed_bytes"}},
+      {&doc, "grid", {"cells_small", "cells_large", "tau_low_max",
+                      "reused_grid"}},
+      {&doc, "metrics", {"counters", "histograms"}},
+      {&memory, "parts", {}},
+      {&memory, "tracker", {}},
+  };
+  for (const Section& sec : sections) {
+    Result<const JsonValue*> v = OptionalObject(*sec.parent, sec.name);
+    MIO_RETURN_NOT_OK(v.status());
+    if (v.value() == nullptr) continue;
+    for (const char* f : sec.required) {
+      if (v.value()->Find(f) == nullptr) return Missing(sec.name, f);
+    }
+    if (!ScalarLeaves(*v.value())) {
+      return Status::InvalidArgument(
+          std::string("qlog: non-numeric value in section ") + sec.name);
+    }
+  }
+  return Status::OK();
 }
 
 /// Full structural check of a parsed qlog document. Shared by
@@ -177,11 +353,9 @@ Status CheckQlogDocument(const JsonValue& doc) {
 
   // The "batch" section is optional (absent on sequential queries) but
   // must be well-formed when present.
-  const JsonValue* batch = doc.Find("batch");
-  if (batch != nullptr) {
-    if (!batch->IsObject()) {
-      return Status::InvalidArgument("qlog: wrong-typed section batch");
-    }
+  Result<const JsonValue*> batch_section = OptionalObject(doc, "batch");
+  MIO_RETURN_NOT_OK(batch_section.status());
+  if (const JsonValue* batch = batch_section.value()) {
     MIO_RETURN_NOT_OK(RequireNumber(*batch, "batch", "id"));
     MIO_RETURN_NOT_OK(RequireNumber(*batch, "batch", "size"));
   }
@@ -190,12 +364,10 @@ Status CheckQlogDocument(const JsonValue& doc) {
   // that unknown top-level keys and sections are deliberately *ignored*
   // throughout this function — that forward-compat contract is how a
   // qlog written by a newer mio stays readable by an older reader, and
-  // how "server" itself arrived without a schema bump.
-  const JsonValue* server = doc.Find("server");
-  if (server != nullptr) {
-    if (!server->IsObject()) {
-      return Status::InvalidArgument("qlog: wrong-typed section server");
-    }
+  // how "server" and the detail sections arrived without a schema bump.
+  Result<const JsonValue*> server_section = OptionalObject(doc, "server");
+  MIO_RETURN_NOT_OK(server_section.status());
+  if (const JsonValue* server = server_section.value()) {
     MIO_RETURN_NOT_OK(RequireString(*server, "server", "request_id"));
     if (server->GetString("request_id").empty()) {
       return Status::InvalidArgument("qlog: empty server.request_id");
@@ -214,7 +386,7 @@ Status CheckQlogDocument(const JsonValue& doc) {
       if (v != nullptr && !v->IsString()) return Missing("server", f);
     }
   }
-  return Status::OK();
+  return CheckDetailSections(doc, *memory.value());
 }
 
 }  // namespace
@@ -232,6 +404,7 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.Key("ceil_r").Int(rec.ceil_r);
   w.Key("k").UInt(rec.k);
   w.Key("threads").Int(rec.threads);
+  w.Key("scale").String(rec.scale);
   w.EndObject();
   w.Key("wall_seconds").Double(rec.wall_seconds);
   w.Key("total_seconds").Double(rec.total_seconds);
@@ -246,6 +419,7 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.EndObject();
   w.Key("funnel").BeginObject();
   w.Key("objects").UInt(rec.objects);
+  w.Key("points").UInt(rec.points);
   w.Key("candidates").UInt(rec.candidates);
   w.Key("verified").UInt(rec.verified);
   w.Key("distance_computations").UInt(rec.distance_computations);
@@ -264,6 +438,7 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.Key("complete").Bool(rec.complete);
   w.Key("degradation_level").UInt(rec.degradation_level);
   w.EndObject();
+  if (rec.truncated) w.Key("truncated").Bool(true);
   w.Key("env").BeginObject();
   w.Key("pmu_tier").String(rec.pmu_tier);
   w.Key("kernel_tier").String(rec.kernel_tier);
@@ -271,6 +446,23 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.Key("memory").BeginObject();
   w.Key("index_bytes").UInt(rec.index_memory_bytes);
   w.Key("peak_bytes").UInt(rec.peak_memory_bytes);
+  if (!rec.memory_breakdown.parts.empty()) {
+    w.Key("parts").BeginObject();
+    for (const auto& [name, bytes] : rec.memory_breakdown.parts) {
+      w.Key(name).UInt(bytes);
+    }
+    w.EndObject();
+  }
+  if (!rec.memory_tracker.empty()) {
+    w.Key("tracker").BeginObject();
+    for (const MemoryTracker::Entry& e : rec.memory_tracker) {
+      w.Key(e.tag).BeginObject();
+      w.Key("current_bytes").UInt(e.current_bytes);
+      w.Key("peak_bytes").UInt(e.peak_bytes);
+      w.EndObject();
+    }
+    w.EndObject();
+  }
   w.EndObject();
   w.Key("trace").BeginObject();
   w.Key("dropped_spans").UInt(rec.trace_dropped_spans);
@@ -294,6 +486,27 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
     w.Key("queue_wait_seconds").Double(rec.server_queue_wait_seconds);
     w.Key("e2e_seconds").Double(rec.server_e2e_seconds);
     w.EndObject();
+  }
+  WriteHardware(w, rec);
+  WriteLoadBalance(w, rec.verify_thread_seconds);
+  if (rec.compression.num_bitsets > 0) {
+    w.Key("compression").BeginObject();
+    w.Key("num_bitsets").UInt(rec.compression.num_bitsets);
+    w.Key("compressed_bytes").UInt(rec.compression.compressed_bytes);
+    w.Key("uncompressed_bytes").UInt(rec.compression.uncompressed_bytes);
+    w.Key("savings_ratio").Double(rec.compression.SavingsRatio());
+    w.EndObject();
+  }
+  if (rec.cells_small > 0 || rec.cells_large > 0) {
+    w.Key("grid").BeginObject();
+    w.Key("cells_small").UInt(rec.cells_small);
+    w.Key("cells_large").UInt(rec.cells_large);
+    w.Key("tau_low_max").UInt(rec.tau_low_max);
+    w.Key("reused_grid").Bool(rec.reused_grid);
+    w.EndObject();
+  }
+  if (rec.metrics != nullptr && !rec.metrics->Empty()) {
+    WriteMetrics(w, *rec.metrics);
   }
   w.EndObject();
   return std::move(w).Take();
@@ -325,6 +538,7 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   rec.ceil_r = static_cast<int>(params->GetUInt("ceil_r"));
   rec.k = params->GetUInt("k");
   rec.threads = static_cast<int>(params->GetUInt("threads", 1));
+  rec.scale = params->GetString("scale");
   rec.wall_seconds = doc.GetDouble("wall_seconds");
   rec.total_seconds = doc.GetDouble("total_seconds");
   const JsonValue* phases = doc.Find("phases");
@@ -333,6 +547,7 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   }
   const JsonValue* funnel = doc.Find("funnel");
   rec.objects = funnel->GetUInt("objects");
+  rec.points = funnel->GetUInt("points");
   rec.candidates = funnel->GetUInt("candidates");
   rec.verified = funnel->GetUInt("verified");
   rec.distance_computations = funnel->GetUInt("distance_computations");
@@ -348,6 +563,7 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   rec.complete = outcome->GetBool("complete");
   rec.degradation_level =
       static_cast<std::uint32_t>(outcome->GetUInt("degradation_level"));
+  rec.truncated = doc.GetBool("truncated");
   const JsonValue* env = doc.Find("env");
   rec.pmu_tier = env->GetString("pmu_tier");
   rec.kernel_tier = env->GetString("kernel_tier");
@@ -501,20 +717,6 @@ std::string TailTraceFileName(std::uint64_t query_index) {
 
 namespace {
 
-QlogLatencySummary SummarizeLatency(std::vector<double> values) {
-  QlogLatencySummary s;
-  if (values.empty()) return s;
-  s.min = *std::min_element(values.begin(), values.end());
-  s.max = *std::max_element(values.begin(), values.end());
-  for (double v : values) s.sum += v;
-  s.mean = s.sum / static_cast<double>(values.size());
-  // Percentile sorts a copy per call; fine at report scale.
-  s.p50 = Percentile(values, 0.50);
-  s.p95 = Percentile(values, 0.95);
-  s.p99 = Percentile(values, 0.99);
-  return s;
-}
-
 bool FileExists(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
@@ -564,12 +766,17 @@ QlogReport BuildQlogReport(const std::vector<QlogRecord>& records,
     }
     if (!rec.complete) ++report.incomplete;
     if (rec.degradation_level > 0) ++report.degraded;
-    for (std::size_t i = 0; i < 5; ++i) {
-      phase_values[i].push_back(*PhaseField(&rec, i));
+    // Follower/cached server records carry zeroed phases; only executed
+    // records describe a phase's per-query distribution.
+    if (rec.Executed()) {
+      for (std::size_t i = 0; i < 5; ++i) {
+        phase_values[i].push_back(*PhaseField(&rec, i));
+      }
     }
     QlogCeilClassStats& cls = classes[rec.ceil_r];
     cls.ceil_r = rec.ceil_r;
     ++cls.queries;
+    if (rec.label_outcome != "off") ++cls.labelled;
     if (rec.LabelHit()) {
       ++cls.hits;
     } else if (rec.label_outcome == "recorded") {
@@ -718,6 +925,7 @@ std::string QlogReportToJson(const QlogReport& report,
     w.BeginObject();
     w.Key("ceil_r").Int(cls.ceil_r);
     w.Key("queries").UInt(cls.queries);
+    w.Key("labelled").UInt(cls.labelled);
     w.Key("hits").UInt(cls.hits);
     w.Key("recorded").UInt(cls.recorded);
     w.Key("misses").UInt(cls.misses);
@@ -812,9 +1020,10 @@ std::string FormatQlogReport(const QlogReport& report,
   for (const QlogCeilClassStats& cls : report.ceil_classes) {
     std::snprintf(
         buf, sizeof(buf),
-        "    ceil_r %-5d %6llu queries  hits %-6llu recorded %-6llu "
-        "misses %-6llu hit rate %5.1f%%\n",
+        "    ceil_r %-5d %6llu queries (%llu labelled)  hits %-6llu "
+        "recorded %-6llu misses %-6llu hit rate %5.1f%%\n",
         cls.ceil_r, static_cast<unsigned long long>(cls.queries),
+        static_cast<unsigned long long>(cls.labelled),
         static_cast<unsigned long long>(cls.hits),
         static_cast<unsigned long long>(cls.recorded),
         static_cast<unsigned long long>(cls.misses), 100.0 * cls.HitRate());

@@ -1,10 +1,13 @@
-// Per-query structured logging (qlog) for workload runs. Where the
-// stats sink (mio-stats-v1) serialises *one* query per process in full
-// depth, the qlog is the workload-scale surface: one compact validated
-// JSONL record per query ("mio-qlog-v1") — wall latency, per-phase
-// seconds, the pruning funnel, the label-reuse outcome, the guardrail
-// outcome, and resource footprints — cheap enough to append on every
-// query of a long run.
+// Per-query structured logging (qlog): one validated JSONL record per
+// query ("mio-qlog-v1") — wall latency, per-phase seconds, the pruning
+// funnel, the label-reuse outcome, the guardrail outcome, and resource
+// footprints. It is the repo's only per-query record: `mio run-workload`,
+// `mio serve`, `mio query`/`mio sweep --stats-json`, `mio profile` and
+// the bench harnesses' --json-out all write it, built from a QueryResult
+// by QlogRecordFromResult (obs/stats_sink.hpp). Optional sections carry
+// the single-query detail (per-phase PMU counts, verify load balance, the
+// metrics-registry snapshot, memory parts and tracker, compression, grid
+// counters) where the caller has it.
 //
 // The same header also holds the tail-based trace sampler: tracing stays
 // armed for every query, but the Chrome trace is only kept for queries
@@ -12,27 +15,33 @@
 // outliers that matter stay fully explainable while a 10k-query workload
 // does not write 10k trace files.
 //
-// `mio run-workload` writes qlogs; `mio qlog report` aggregates them
-// (p50/p95/p99 latency via the shared R-7 percentile helpers, per-phase
-// aggregates, label hit rate per ceil(r) class, slowest-N pointers).
+// `mio qlog report` aggregates qlogs (p50/p95/p99 latency via the shared
+// R-7 percentile helpers, per-phase aggregates, label hit rate per
+// ceil(r) class, slowest-N pointers).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "bitset/bitset_stats.hpp"
+#include "common/memory_tracker.hpp"
 #include "common/status.hpp"
+#include "obs/metrics.hpp"
+#include "obs/perf_counters.hpp"
 
 namespace mio {
 namespace obs {
 
 /// One query's log record. String enums (`label_outcome`, `status`) are
 /// carried as their canonical short names so the record round-trips
-/// without pulling core headers into the obs layer; the workload runner
+/// without pulling core headers into the obs layer; QlogRecordFromResult
 /// fills them from LabelOutcomeName / StatusCodeName.
 struct QlogRecord {
   // Identity.
@@ -43,7 +52,8 @@ struct QlogRecord {
   double r = 0.0;
   int ceil_r = 0;                 ///< the label-reuse equivalence class
   std::uint64_t k = 1;
-  int threads = 1;
+  int threads = 1;                ///< requested worker threads
+  std::string scale;              ///< bench preset scale ("quick"/"full")
 
   // Timing. `wall_seconds` is the harness-side clock around the query;
   // `total_seconds` the engine-side clock (phases + glue).
@@ -57,6 +67,7 @@ struct QlogRecord {
 
   // Pruning funnel (objects -> upper-bound survivors -> verified).
   std::uint64_t objects = 0;
+  std::uint64_t points = 0;       ///< n*m, the cycles-per-point denominator
   std::uint64_t candidates = 0;
   std::uint64_t verified = 0;
   std::uint64_t distance_computations = 0;
@@ -75,6 +86,9 @@ struct QlogRecord {
   std::string status = "OK";
   bool complete = true;
   std::uint32_t degradation_level = 0;
+  /// Set on the exit-flush fallback of an interrupted command: the query
+  /// never finished, so only the identity fields are real.
+  bool truncated = false;
 
   // Environment and resources.
   std::string pmu_tier;
@@ -105,6 +119,32 @@ struct QlogRecord {
   double server_queue_wait_seconds = 0.0;  ///< enqueued -> dequeued
   double server_e2e_seconds = 0.0;         ///< accepted -> responded
 
+  // Optional detail sections. Each is written only when it holds data,
+  // checked by the validator when present, and ignored by readers that
+  // predate it (the forward-compat contract "batch" and "server" use).
+  // They are write-side only: ParseQlogRecord validates them but does
+  // not read them back, since no aggregate consumes them — scripts read
+  // them from the JSON.
+  /// "hardware": per-phase PMU deltas, pipeline order; omitted when no
+  /// phase was sampled.
+  std::array<PmuCounts, 5> hardware{};
+  /// "verify_load_balance": seconds each verification worker spent.
+  std::vector<double> verify_thread_seconds;
+  /// "memory.parts": the index footprint by structure.
+  MemoryBreakdown memory_breakdown;
+  /// "memory.tracker": process-wide current/peak bytes per tag.
+  std::vector<MemoryTracker::Entry> memory_tracker;
+  /// "compression": omitted when no bitsets were measured.
+  BitsetCompressionStats compression;
+  /// "grid": omitted when both cell counts are zero.
+  std::uint64_t cells_small = 0;
+  std::uint64_t cells_large = 0;
+  std::uint64_t tau_low_max = 0;  ///< best lower bound found
+  bool reused_grid = false;
+  /// "metrics": the registry snapshot around this query; null = omitted.
+  /// Shared, not embedded: a snapshot is kilobytes and records are copied.
+  std::shared_ptr<const MetricsSnapshot> metrics;
+
   /// True when the query ran as a QueryBatch member.
   bool Batched() const { return batch_size > 0; }
 
@@ -116,6 +156,10 @@ struct QlogRecord {
   bool ServerExecuted() const {
     return server_role == "solo" || server_role == "leader";
   }
+
+  /// True when the engine stats are this record's own execution: every
+  /// non-server record, and solo/leader server records.
+  bool Executed() const { return !HasServer() || ServerExecuted(); }
 
   /// True when the label lookup reused an existing set (memory or disk).
   bool LabelHit() const {
@@ -236,7 +280,9 @@ struct QlogPhaseAggregate {
   std::string name;
   double total_seconds = 0.0;
   double share = 0.0;     ///< of the summed phase totals
-  double p50 = 0.0;       ///< per-query median
+  /// Per-query median and p99 over executed records only: `mio serve`
+  /// follower/cached records carry zeroed phases and are left out.
+  double p50 = 0.0;
   double p99 = 0.0;
 };
 
@@ -244,13 +290,15 @@ struct QlogPhaseAggregate {
 struct QlogCeilClassStats {
   int ceil_r = 0;
   std::uint64_t queries = 0;
+  std::uint64_t labelled = 0;  ///< queries whose label outcome is not "off"
   std::uint64_t hits = 0;      ///< hit_memory + hit_disk
   std::uint64_t recorded = 0;  ///< misses that recorded a fresh set
   std::uint64_t misses = 0;    ///< misses with nothing recorded
+  /// Hits per labelled query; queries run without labels do not count.
   double HitRate() const {
-    return queries > 0 ? static_cast<double>(hits) /
-                             static_cast<double>(queries)
-                       : 0.0;
+    return labelled > 0 ? static_cast<double>(hits) /
+                              static_cast<double>(labelled)
+                        : 0.0;
   }
 };
 

@@ -1,60 +1,47 @@
-// Structured stats sink: serialises one query execution — QueryStats
-// (per-phase times, pruning counters, compression), the metrics-registry
-// snapshot, the MemoryTracker peaks, and the active kernel tier — as a
-// single JSON document. The CLI (--stats-json) and every bench harness
-// (--json-out) emit this same schema ("mio-stats-v1"), so bench records
-// are machine-comparable across commits (scripts/compare_bench.py).
+// The one QueryResult -> per-query record step. Every surface that
+// reports a query — `mio run-workload`, `mio serve`, `mio query` and
+// `mio sweep --stats-json`, `mio profile`, and the bench harnesses'
+// --json-out — builds its record here and serialises it with
+// QlogRecordToJsonLine, so they all emit the same "mio-qlog-v1" lines
+// (obs/qlog.hpp) and any of them loads with `mio qlog report` and
+// scripts/compare_bench.py.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
 #include "core/query_result.hpp"
 #include "obs/metrics.hpp"
+#include "obs/qlog.hpp"
 
 namespace mio {
 namespace obs {
-
-/// Identification of one measured run: which harness, which workload,
-/// which parameters. Unset strings are emitted as "".
-struct RunInfo {
-  std::string bench;    ///< harness/tool name, e.g. "table2_breakdown"
-  std::string dataset;  ///< preset or input-file name
-  std::string algo;     ///< "bigrid", "bigrid-label", "nl", ...
-  double r = 0.0;
-  std::size_t k = 1;
-  int threads = 1;
-  std::string scale;           ///< "quick" / "full" / "" for file inputs
-  double wall_seconds = 0.0;   ///< harness-side wall clock, 0 if unmeasured
-};
 
 /// `git describe` of the tree this binary was built from (configure-time;
 /// "unknown" outside a git checkout).
 const char* GitDescribe();
 
-/// The full stats document. `metrics` may be null to omit the registry
-/// section (e.g. when the caller could not reset it around the run).
-std::string StatsJson(const QueryStats& stats, const RunInfo& info,
-                      const MetricsSnapshot* metrics = nullptr);
-
-/// As above, from a whole QueryResult: adds an "outcome" object with the
-/// query Status, the `complete` flag, and the degradation level, so
-/// incomplete or degraded runs are machine-detectable.
-std::string StatsJson(const QueryResult& result, const RunInfo& info,
-                      const MetricsSnapshot* metrics = nullptr);
+/// Fills a qlog record from one query's result. `identity` carries what
+/// the result cannot know — query_index, workload, dataset, algo, r, k,
+/// threads, scale, objects, wall_seconds, and any batch or server
+/// section — and is returned with everything else filled from `result`:
+/// ceil_r, engine timing and phases, funnel, winner, labels, outcome,
+/// environment, memory (the process-wide tracker included), and the
+/// hardware / load-balance / compression / grid sections. `metrics`
+/// (nullable) attaches the registry snapshot, for callers that reset the
+/// registry around the query.
+QlogRecord QlogRecordFromResult(QlogRecord identity,
+                                const QueryResult& result,
+                                const MetricsSnapshot* metrics = nullptr);
 
 /// Writes `contents` to `path` ("-" writes to stdout).
 Status WriteTextFile(const std::string& path, const std::string& contents);
 
 /// The p-quantile (p in [0,1]) of `values` with linear interpolation
 /// between adjacent order statistics (the numpy/R-7 rule). Sorts a copy;
-/// 0 on empty input. Shared by `mio profile` and the bench summaries.
+/// 0 on empty input. Shared by the qlog report and its tests.
 double Percentile(std::vector<double> values, double p);
-
-/// Shorthand for Percentile(values, 0.5).
-double Median(std::vector<double> values);
 
 }  // namespace obs
 }  // namespace mio

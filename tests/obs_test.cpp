@@ -1,7 +1,7 @@
 // Tests for the observability layer: span tracer (nesting, per-thread
 // tracks, ring overflow, Chrome-trace export), metrics registry (shard
-// merge, log2 bucketing), the JSON writer/validator, the stats sink
-// document, and the load-balance summary.
+// merge, log2 bucketing), the JSON writer/validator, the per-query record
+// builder's optional sections, and the load-balance summary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
+#include "obs/qlog.hpp"
 #include "obs/stats_sink.hpp"
 #include "obs/trace.hpp"
 
@@ -276,6 +277,31 @@ TEST(JsonValidatorTest, RejectsMalformed) {
   EXPECT_FALSE(error.empty());
 }
 
+/// Serialises one query through the shared record builder and parses the
+/// line back, failing the test when the record does not validate.
+JsonValue RecordDoc(const QueryStats& stats,
+                    const MetricsSnapshot* metrics = nullptr) {
+  QlogRecord id;
+  id.workload = "obs_test";
+  id.dataset = "synthetic";
+  id.algo = "bigrid";
+  id.r = 4.0;
+  id.k = 2;
+  id.threads = 2;
+  id.scale = "quick";
+  id.wall_seconds = 1.6;
+  QueryResult result;
+  result.stats = stats;
+  std::string line =
+      QlogRecordToJsonLine(QlogRecordFromResult(id, result, metrics));
+  Status st = ValidateQlogLine(line);
+  EXPECT_TRUE(st.ok()) << st.ToString() << "\n" << line;
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(ParseJson(line, &doc, &error)) << error;
+  return doc;
+}
+
 TEST(StatsSinkTest, DocumentIsValidJsonWithExpectedSections) {
   QueryStats stats;
   stats.total_seconds = 1.5;
@@ -285,49 +311,46 @@ TEST(StatsSinkTest, DocumentIsValidJsonWithExpectedSections) {
   stats.num_verified = 4;
   stats.distance_computations = 1234;
   stats.index_memory_bytes = 4096;
+  stats.cells_small = 7;
+  stats.cells_large = 3;
   stats.memory.Add("small_grid", 1024);
   stats.verify_thread_seconds = {0.3, 0.45};
-
-  RunInfo info;
-  info.bench = "obs_test";
-  info.dataset = "synthetic";
-  info.algo = "bigrid";
-  info.r = 4.0;
-  info.k = 2;
-  info.threads = 2;
-  info.scale = "quick";
-  info.wall_seconds = 1.6;
 
   ResetMetrics();
   Add(Counter::kPostingScans, 3);
   Observe(Histogram::kKernelBatchSize, 32);
   MetricsSnapshot metrics = SnapshotMetrics();
 
-  std::string doc = StatsJson(stats, info, &metrics);
-  std::string error;
-  ASSERT_TRUE(ValidateJson(doc, &error)) << error << "\n" << doc;
-  EXPECT_NE(doc.find("\"schema\":\"mio-stats-v1\""), std::string::npos);
-  EXPECT_NE(doc.find("\"bench\":\"obs_test\""), std::string::npos);
-  EXPECT_NE(doc.find("\"kernel_tier\""), std::string::npos);
-  EXPECT_NE(doc.find("\"phases\""), std::string::npos);
-  EXPECT_NE(doc.find("\"verify_load_balance\""), std::string::npos);
-  EXPECT_NE(doc.find("\"imbalance\""), std::string::npos);
-  EXPECT_NE(doc.find("\"memory\""), std::string::npos);
-  EXPECT_NE(doc.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(doc.find("\"posting_scans\":3"), std::string::npos);
-  EXPECT_NE(doc.find("\"kernel_batch_size\""), std::string::npos);
-  EXPECT_NE(doc.find("\"git\""), std::string::npos);
+  JsonValue doc = RecordDoc(stats, &metrics);
+  EXPECT_EQ(doc.GetString("schema"), "mio-qlog-v1");
+  EXPECT_EQ(doc.GetString("workload"), "obs_test");
+  EXPECT_EQ(doc.Find("params")->GetString("scale"), "quick");
+  EXPECT_FALSE(doc.Find("env")->GetString("kernel_tier").empty());
+  EXPECT_DOUBLE_EQ(doc.Find("phases")->GetDouble("verification"), 0.75);
+  EXPECT_EQ(doc.Find("funnel")->GetUInt("distance_computations"), 1234u);
+  const JsonValue* balance = doc.Find("verify_load_balance");
+  ASSERT_NE(balance, nullptr);
+  EXPECT_EQ(balance->GetUInt("workers"), 2u);
+  EXPECT_DOUBLE_EQ(balance->GetDouble("imbalance"), 0.45 / 0.375);
+  const JsonValue* memory = doc.Find("memory");
+  EXPECT_EQ(memory->GetUInt("index_bytes"), 4096u);
+  EXPECT_EQ(memory->Find("parts")->GetUInt("small_grid"), 1024u);
+  EXPECT_EQ(doc.Find("grid")->GetUInt("cells_small"), 7u);
+  const JsonValue* m = doc.Find("metrics");
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->Find("counters")->GetUInt("posting_scans"), 3u);
+  EXPECT_NE(m->Find("histograms")->Find("kernel_batch_size"), nullptr);
   ResetMetrics();
 }
 
 TEST(StatsSinkTest, OmitsMetricsWhenNull) {
-  QueryStats stats;
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, nullptr);
-  std::string error;
-  ASSERT_TRUE(ValidateJson(doc, &error)) << error;
-  EXPECT_EQ(doc.find("\"metrics\""), std::string::npos);
+  JsonValue doc = RecordDoc(QueryStats{});
+  EXPECT_EQ(doc.Find("metrics"), nullptr);
+  // Likewise every detail section the result has no data for.
+  for (const char* section :
+       {"hardware", "verify_load_balance", "compression", "grid"}) {
+    EXPECT_EQ(doc.Find(section), nullptr) << section;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -412,23 +435,24 @@ TEST(StatsSinkTest, VectorPercentileInterpolation) {
   EXPECT_DOUBLE_EQ(Percentile({10.0, 20.0, 30.0, 40.0, 50.0}, 0.9), 46.0);
   // Unsorted input is handled (sorts a copy).
   EXPECT_DOUBLE_EQ(Percentile({4.0, 1.0, 3.0, 2.0}, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(Median({1.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(Median({7.0}), 7.0);
+  EXPECT_DOUBLE_EQ(Percentile({1.0, 3.0}, 0.5), 2.0);
+  EXPECT_DOUBLE_EQ(Percentile({7.0}, 0.5), 7.0);
 }
 
 TEST(StatsSinkTest, HistogramJsonCarriesPercentiles) {
   ResetMetrics();
   for (std::uint64_t v = 1; v <= 7; ++v) Observe(Histogram::kKernelBatchSize, v);
   MetricsSnapshot metrics = SnapshotMetrics();
-  QueryStats stats;
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, &metrics);
-  std::string error;
-  ASSERT_TRUE(ValidateJson(doc, &error)) << error;
-  EXPECT_NE(doc.find("\"p50\""), std::string::npos);
-  EXPECT_NE(doc.find("\"p90\""), std::string::npos);
-  EXPECT_NE(doc.find("\"p99\""), std::string::npos);
+  JsonValue doc = RecordDoc(QueryStats{}, &metrics);
+  const JsonValue* hist =
+      doc.Find("metrics")->Find("histograms")->Find("kernel_batch_size");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->GetUInt("count"), 7u);
+  const HistogramSnapshot& snap =
+      metrics.histograms[static_cast<int>(Histogram::kKernelBatchSize)];
+  EXPECT_DOUBLE_EQ(hist->GetDouble("p50"), snap.Percentile(0.50));
+  EXPECT_DOUBLE_EQ(hist->GetDouble("p90"), snap.Percentile(0.90));
+  EXPECT_DOUBLE_EQ(hist->GetDouble("p99"), snap.Percentile(0.99));
   ResetMetrics();
 }
 
@@ -538,25 +562,22 @@ TEST_F(PmuTimingTierTest, StatsJsonMarksTimingTier) {
   QueryStats stats;
   stats.hardware.verification.Set(PmuEvent::kTaskClockNs, 1234567);
   stats.total_points = 100;
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, nullptr);
-  std::string error;
-  ASSERT_TRUE(ValidateJson(doc, &error)) << error;
-  EXPECT_NE(doc.find("\"hardware\""), std::string::npos);
-  EXPECT_NE(doc.find("\"pmu_tier\":\"timing\""), std::string::npos);
-  EXPECT_NE(doc.find("\"task_clock_ns\":1234567"), std::string::npos);
-  // Hardware-only fields are omitted on the timing tier.
-  EXPECT_EQ(doc.find("\"ipc\""), std::string::npos);
-  EXPECT_EQ(doc.find("\"cycles_per_point\""), std::string::npos);
+  JsonValue doc = RecordDoc(stats);
+  EXPECT_EQ(doc.Find("env")->GetString("pmu_tier"), "timing");
+  const JsonValue* hw = doc.Find("hardware");
+  ASSERT_NE(hw, nullptr);
+  const JsonValue* verify = hw->Find("phases")->Find("verification");
+  ASSERT_NE(verify, nullptr);
+  EXPECT_EQ(verify->GetUInt("task_clock_ns"), 1234567u);
+  // Hardware-only fields are omitted on the timing tier: task_clock_ns
+  // is the only count and there are no derived rates.
+  EXPECT_EQ(verify->members().size(), 1u);
+  EXPECT_EQ(hw->Find("derived"), nullptr);
 }
 
 TEST(PmuStatsJsonTest, HardwareSectionOmittedWhenNeverSampled) {
-  QueryStats stats;  // all-zero hardware counts
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, nullptr);
-  EXPECT_EQ(doc.find("\"hardware\""), std::string::npos);
+  JsonValue doc = RecordDoc(QueryStats{});  // all-zero hardware counts
+  EXPECT_EQ(doc.Find("hardware"), nullptr);
 }
 
 TEST(PmuStatsJsonTest, HardwareTierEmitsDerivedRates) {
@@ -569,15 +590,16 @@ TEST(PmuStatsJsonTest, HardwareTierEmitsDerivedRates) {
   stats.hardware.verification.Set(PmuEvent::kCacheReferences, 2000);
   stats.hardware.verification.Set(PmuEvent::kCacheMisses, 100);
   stats.hardware.verification.valid = true;
-  RunInfo info;
-  info.bench = "obs_test";
-  std::string doc = StatsJson(stats, info, nullptr);
-  std::string error;
-  ASSERT_TRUE(ValidateJson(doc, &error)) << error;
-  EXPECT_NE(doc.find("\"cycles\":50000"), std::string::npos);
-  EXPECT_NE(doc.find("\"ipc\":2"), std::string::npos);
-  EXPECT_NE(doc.find("\"cycles_per_point\":50"), std::string::npos);
-  EXPECT_NE(doc.find("\"cycles_per_candidate\":5000"), std::string::npos);
+  JsonValue doc = RecordDoc(stats);
+  const JsonValue* hw = doc.Find("hardware");
+  ASSERT_NE(hw, nullptr);
+  const JsonValue* verify = hw->Find("phases")->Find("verification");
+  EXPECT_EQ(verify->GetUInt("cycles"), 50000u);
+  EXPECT_DOUBLE_EQ(verify->GetDouble("ipc"), 2.0);
+  const JsonValue* derived = hw->Find("derived");
+  ASSERT_NE(derived, nullptr);
+  EXPECT_DOUBLE_EQ(derived->GetDouble("cycles_per_point"), 50.0);
+  EXPECT_DOUBLE_EQ(derived->GetDouble("cycles_per_candidate"), 5000.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -619,7 +641,7 @@ TEST_F(ExitFlushTest, FlushWritesTruncationMarkedArtifacts) {
   ExitFlushConfig cfg;
   cfg.trace_path = PathFor("trace.json");
   cfg.stats_path = PathFor("stats.json");
-  cfg.stats_document = "{\"schema\":\"mio-stats-v1\",\"truncated\":true}";
+  cfg.stats_identity.workload = "query";
   ArmExitFlush(cfg);
   EXPECT_TRUE(ExitFlushArmed());
 
@@ -637,10 +659,35 @@ TEST_F(ExitFlushTest, FlushWritesTruncationMarkedArtifacts) {
   EXPECT_NE(stats.find("\"truncated\":true"), std::string::npos);
 }
 
+TEST_F(ExitFlushTest, FallbackIsALoadableQlogRecord) {
+  ExitFlushConfig cfg;
+  cfg.stats_path = PathFor("stats.jsonl");
+  cfg.stats_identity.workload = "sweep";
+  cfg.stats_identity.dataset = "birds.bin";
+  cfg.stats_identity.algo = "bigrid-label";
+  cfg.stats_identity.r = 4.5;
+  ArmExitFlush(cfg);
+  FlushObservabilityNow();
+
+  Result<std::vector<QlogRecord>> loaded = LoadQlogFile(cfg.stats_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().size(), 1u);
+  const QlogRecord& rec = loaded.value()[0];
+  EXPECT_FALSE(rec.complete);
+  EXPECT_TRUE(rec.truncated);
+  EXPECT_EQ(rec.status, "Cancelled");
+  EXPECT_EQ(rec.workload, "sweep");
+  EXPECT_EQ(rec.dataset, "birds.bin");
+  EXPECT_DOUBLE_EQ(rec.r, 4.5);
+  EXPECT_EQ(rec.ceil_r, 5);
+  EXPECT_NE(Slurp(cfg.stats_path).find("\"truncated\":true"),
+            std::string::npos);
+}
+
 TEST_F(ExitFlushTest, FlushIsIdempotentAndDisarmable) {
   ExitFlushConfig cfg;
   cfg.stats_path = PathFor("stats.json");
-  cfg.stats_document = "{\"truncated\":true}";
+
   ArmExitFlush(cfg);
   DisarmExitFlush();
   FlushObservabilityNow();  // disarmed: must write nothing

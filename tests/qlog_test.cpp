@@ -14,6 +14,7 @@
 
 #include "core/query_result.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/qlog.hpp"
 #include "obs/stats_sink.hpp"
 
@@ -148,6 +149,111 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(back.server_e2e_seconds, rec.server_e2e_seconds);
   EXPECT_TRUE(back.HasServer());
   EXPECT_TRUE(back.ServerExecuted());
+}
+
+TEST(QlogRecord, DetailSectionsAreWrittenAndValidated) {
+  QlogRecord rec = MakeFullRecord();
+  rec.scale = "quick";
+  rec.points = 4800;
+  rec.truncated = true;
+  rec.hardware[1].Set(PmuEvent::kTaskClockNs, 32000);  // timing tier
+  rec.hardware[4].Set(PmuEvent::kCycles, 9000);         // hardware tier
+  rec.hardware[4].Set(PmuEvent::kInstructions, 18000);
+  rec.hardware[4].valid = true;
+  rec.verify_thread_seconds = {0.01, 0.03};
+  rec.memory_breakdown.Add("small_grid", 1024);
+  rec.memory_breakdown.Add("large_grid", 2048);
+  rec.memory_tracker = {{"dataset", 100, 200}};
+  rec.compression.num_bitsets = 12;
+  rec.compression.compressed_bytes = 300;
+  rec.compression.uncompressed_bytes = 1200;
+  rec.cells_small = 77;
+  rec.cells_large = 33;
+  rec.tau_low_max = 210;
+  rec.reused_grid = true;
+  auto metrics = std::make_shared<MetricsSnapshot>();
+  metrics->counters[static_cast<int>(Counter::kPostingScans)] = 5;
+  rec.metrics = metrics;
+
+  std::string line = QlogRecordToJsonLine(rec);
+  ASSERT_TRUE(ValidateQlogLine(line).ok()) << line;
+  JsonValue doc;
+  ASSERT_TRUE(ParseJson(line, &doc));
+  EXPECT_TRUE(doc.GetBool("truncated"));
+  EXPECT_EQ(doc.Find("funnel")->GetUInt("points"), 4800u);
+  const JsonValue* phases = doc.Find("hardware")->Find("phases");
+  EXPECT_EQ(phases->Find("grid_mapping")->GetUInt("task_clock_ns"), 32000u);
+  EXPECT_EQ(phases->Find("total")->GetUInt("cycles"), 9000u);
+  EXPECT_DOUBLE_EQ(
+      doc.Find("hardware")->Find("derived")->GetDouble("cycles_per_point"),
+      9000.0 / 4800.0);
+  EXPECT_EQ(doc.Find("verify_load_balance")->GetUInt("workers"), 2u);
+  const JsonValue* memory = doc.Find("memory");
+  EXPECT_EQ(memory->Find("parts")->GetUInt("large_grid"), 2048u);
+  EXPECT_EQ(memory->Find("tracker")->Find("dataset")->GetUInt("peak_bytes"),
+            200u);
+  EXPECT_DOUBLE_EQ(doc.Find("compression")->GetDouble("savings_ratio"), 0.75);
+  EXPECT_TRUE(doc.Find("grid")->GetBool("reused_grid"));
+  EXPECT_EQ(
+      doc.Find("metrics")->Find("counters")->GetUInt("posting_scans"), 5u);
+
+  // The identity fields round-trip; the detail sections are write-side.
+  QlogRecord back;
+  ASSERT_TRUE(ParseQlogRecord(line, &back).ok());
+  EXPECT_EQ(back.scale, "quick");
+  EXPECT_EQ(back.points, 4800u);
+  EXPECT_TRUE(back.truncated);
+}
+
+// A verbatim mio-qlog-v1 line from the committed BENCH_PR6.json, written
+// before params.scale, funnel.points/postings_visited and the detail
+// sections existed.
+TEST(QlogRecord, ParentEraRecordStillParses) {
+  const std::string line =
+      R"({"schema":"mio-qlog-v1","query_index":0,"workload":"bench-canonical",)"
+      R"("dataset":"bench-bird2-quick.bin","algo":"bigrid-label","params":)"
+      R"({"r":3,"ceil_r":3,"k":1,"threads":2},"wall_seconds":0.202708475,)"
+      R"("total_seconds":0.188600819,"phases":{"label_input":0,)"
+      R"("grid_mapping":0.067995311,"lower_bounding":0.005668628,)"
+      R"("upper_bounding":0.084348614,"verification":0.025703034,)"
+      R"("total":0.183715587},"funnel":{"objects":1200,"candidates":471,)"
+      R"("verified":155,"distance_computations":199750},"winner":{"id":945,)"
+      R"("score":230},"labels":{"outcome":"recorded","points_pruned":23849},)"
+      R"("outcome":{"status":"OK","complete":true,"degradation_level":0},)"
+      R"("env":{"pmu_tier":"timing","kernel_tier":"avx2"},"memory":)"
+      R"({"index_bytes":22999484,"peak_bytes":24537788},"trace":)"
+      R"({"dropped_spans":0}})";
+  QlogRecord rec;
+  ASSERT_TRUE(ParseQlogRecord(line, &rec).ok());
+  EXPECT_EQ(rec.workload, "bench-canonical");
+  EXPECT_EQ(rec.objects, 1200u);
+  EXPECT_EQ(rec.scale, "");
+  EXPECT_EQ(rec.points, 0u);
+  EXPECT_FALSE(rec.truncated);
+}
+
+TEST(QlogValidate, RejectsMalformedDetailSections) {
+  const std::string good = QlogRecordToJsonLine(MakeFullRecord());
+  ASSERT_EQ(good.back(), '}');
+  auto with = [&](const std::string& extra) {
+    return good.substr(0, good.size() - 1) + "," + extra + "}";
+  };
+  EXPECT_TRUE(ValidateQlogLine(with(R"("grid":{"cells_small":1,)"
+                                    R"("cells_large":2,"tau_low_max":3,)"
+                                    R"("reused_grid":false})"))
+                  .ok());
+  for (const std::string extra : {
+           R"("truncated":"yes")",
+           R"("hardware":[])",
+           R"("hardware":{"phases":{"verification":{"cycles":"many"}}})",
+           R"("verify_load_balance":{"workers":2,"min_seconds":0,)"
+           R"("max_seconds":0,"mean_seconds":0,"imbalance":1})",
+           R"("compression":{"num_bitsets":1})",
+           R"("grid":{"cells_small":1,"cells_large":2,"tau_low_max":3})",
+           R"("metrics":{"counters":{"posting_scans":"3"},"histograms":{}})",
+       }) {
+    EXPECT_FALSE(ValidateQlogLine(with(extra)).ok()) << extra;
+  }
 }
 
 TEST(QlogRecord, RoundTripsEscapingEdgeCases) {
@@ -350,6 +456,48 @@ TEST(QlogReportTest, ServerSplitSeparatesQueueWaitFromExecute) {
   EXPECT_NE(json.find("\"queue_wait\""), std::string::npos);
   std::string text = FormatQlogReport(report);
   EXPECT_NE(text.find("server:"), std::string::npos);
+}
+
+// `mio serve` follower/cached records carry zeroed phases and labels
+// that never ran; phase percentiles and label hit rates must describe the
+// executed, labelled queries only.
+TEST(QlogReportTest, PhaseAndHitRateStatsSkipUnexecutedAndUnlabelled) {
+  std::vector<QlogRecord> records;
+  auto server_rec = [](const char* role, double grid, const char* labels) {
+    QlogRecord rec;
+    rec.server_request_id = "r000001";
+    rec.server_role = role;
+    rec.ceil_r = 4;
+    rec.phase_grid_mapping = grid;
+    rec.label_outcome = labels;
+    return rec;
+  };
+  records.push_back(server_rec("solo", 0.010, "recorded"));
+  records.push_back(server_rec("leader", 0.020, "hit_memory"));
+  records.push_back(server_rec("follower", 0.0, "off"));
+  records.push_back(server_rec("cached", 0.0, "off"));
+  records.push_back(server_rec("cached", 0.0, "off"));
+  QlogRecord plain;  // a non-server record is an execution
+  plain.ceil_r = 4;
+  plain.phase_grid_mapping = 0.030;
+  plain.label_outcome = "hit_disk";
+  records.push_back(plain);
+
+  QlogReport report = BuildQlogReport(records);
+  const QlogPhaseAggregate& grid = report.phases[1];
+  ASSERT_EQ(grid.name, "grid_mapping");
+  EXPECT_DOUBLE_EQ(grid.p50, 0.020);  // median of {0.010, 0.020, 0.030}
+  EXPECT_DOUBLE_EQ(grid.p99, Percentile({0.010, 0.020, 0.030}, 0.99));
+  EXPECT_NEAR(grid.total_seconds, 0.060, 1e-12);
+
+  ASSERT_EQ(report.ceil_classes.size(), 1u);
+  const QlogCeilClassStats& cls = report.ceil_classes[0];
+  EXPECT_EQ(cls.queries, 6u);
+  EXPECT_EQ(cls.labelled, 3u);
+  EXPECT_EQ(cls.hits, 2u);
+  EXPECT_DOUBLE_EQ(cls.HitRate(), 2.0 / 3.0);
+  EXPECT_NE(QlogReportToJson(report).find("\"labelled\":3"),
+            std::string::npos);
 }
 
 TEST(QlogValidate, LabelHitHelperMatchesNames) {

@@ -93,12 +93,13 @@ void Usage() {
       "             per-client request counts — refreshes until\n"
       "             interrupted; --once prints a single snapshot)\n"
       "  sweep     --in=FILE --r=R1,R2,... [--k=K] [--threads=T] [--labels=DIR]\n"
-      "            [--trace-out=FILE]\n"
+      "            [--trace-out=FILE] [--stats-json=FILE|-]\n"
       "  profile   --in=FILE --r=R [--k=K] [--threads=T] [--warmup=N]\n"
       "            [--runs=M] [--labels=DIR] [--out=FILE|-]\n"
-      "            (repeated measured runs; per-phase medians + hardware\n"
-      "             counters when the PMU is available, MIO_PMU=off forces\n"
-      "             the timing fallback)\n"
+      "            (repeated measured runs, one mio-qlog-v1 record each\n"
+      "             with hardware counters when the PMU is available —\n"
+      "             MIO_PMU=off forces the timing fallback — then the\n"
+      "             qlog report summary)\n"
       "  explain   --in=FILE --r=R [--k=K] [--threads=T] [--labels=DIR]\n"
       "            (one query, human-readable pruning-funnel report)\n"
       "  run-workload --spec=FILE --connect=SOCKET [--attempts=N]\n"
@@ -218,10 +219,26 @@ void PrintResult(const mio::QueryResult& res, double elapsed) {
   }
 }
 
+/// The run identity of one in-process CLI query; QlogRecordFromResult fills
+/// the rest from its result.
+mio::obs::QlogRecord CliIdentity(const mio::ArgParser& args,
+                                 const char* workload, std::string algo,
+                                 double r, std::size_t objects) {
+  mio::obs::QlogRecord rec;
+  rec.workload = workload;
+  rec.dataset = args.GetString("in", "");
+  rec.algo = std::move(algo);
+  rec.r = r;
+  rec.k = static_cast<std::uint64_t>(args.GetInt("k", 1));
+  rec.threads = static_cast<int>(args.GetInt("threads", 1));
+  rec.objects = objects;
+  return rec;
+}
+
 // Shared tail of `query`/`sweep`: dump the collected trace and/or the
-// machine-readable stats document if the user asked for them.
-int EmitObservability(const mio::ArgParser& args, const mio::QueryResult& res,
-                      mio::obs::RunInfo info) {
+// per-query qlog records (--stats-json) if the user asked for them.
+int EmitObservability(const mio::ArgParser& args,
+                      const std::vector<mio::obs::QlogRecord>& records) {
   if (args.Has("trace-out")) {
     std::string path = args.GetString("trace-out", "trace.json");
     mio::Status st = mio::obs::Tracer::Instance().WriteChromeTrace(path);
@@ -236,12 +253,12 @@ int EmitObservability(const mio::ArgParser& args, const mio::QueryResult& res,
   }
   if (args.Has("stats-json")) {
     std::string path = args.GetString("stats-json", "-");
-    mio::obs::MetricsSnapshot metrics = mio::obs::SnapshotMetrics();
-    // The QueryResult overload adds the "outcome" section (status /
-    // complete / degradation level) so harnesses can detect degraded or
-    // incomplete runs without parsing stderr.
-    mio::Status st = mio::obs::WriteTextFile(
-        path, mio::obs::StatsJson(res, info, &metrics) + "\n");
+    mio::obs::QlogWriter out;
+    mio::Status st = out.Open(path);
+    for (const mio::obs::QlogRecord& rec : records) {
+      if (st.ok()) st = out.Append(rec);
+    }
+    if (st.ok()) st = out.Close();
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
@@ -252,10 +269,11 @@ int EmitObservability(const mio::ArgParser& args, const mio::QueryResult& res,
 }
 
 // Arms the exit-time flush backstop so an interrupted query still leaves
-// valid --trace-out / --stats-json artifacts (truncation-marked). Disarm
-// after the normal emission succeeds.
+// valid --trace-out / --stats-json artifacts (truncation-marked; the
+// stats file is one qlog record of `identity`). Disarm after the normal
+// emission succeeds.
 void ArmObservabilityBackstop(const mio::ArgParser& args,
-                              const mio::obs::RunInfo& info) {
+                              mio::obs::QlogRecord identity) {
   if (!args.Has("trace-out") && !args.Has("stats-json")) return;
   mio::obs::ExitFlushConfig cfg;
   if (args.Has("trace-out")) {
@@ -263,16 +281,7 @@ void ArmObservabilityBackstop(const mio::ArgParser& args,
   }
   if (args.Has("stats-json")) {
     cfg.stats_path = args.GetString("stats-json", "-");
-    mio::obs::JsonWriter w;
-    w.BeginObject();
-    w.Key("schema").String("mio-stats-v1");
-    w.Key("git").String(mio::obs::GitDescribe());
-    w.Key("bench").String(info.bench);
-    w.Key("dataset").String(info.dataset);
-    w.Key("algo").String(info.algo);
-    w.Key("truncated").Bool(true);
-    w.EndObject();
-    cfg.stats_document = std::move(w).Take() + "\n";
+    cfg.stats_identity = std::move(identity);
   }
   mio::obs::ArmExitFlush(std::move(cfg));
 }
@@ -527,24 +536,17 @@ int CmdQuery(const mio::ArgParser& args) {
   double r = args.GetDouble("r", 4.0);
   std::size_t k = static_cast<std::size_t>(args.GetInt("k", 1));
   int threads = static_cast<int>(args.GetInt("threads", 1));
-  std::string algo = args.GetString("algo", "bigrid");
+  const std::string algo =
+      args.Has("delta") ? "temporal" : args.GetString("algo", "bigrid");
   if (args.Has("trace-out")) mio::obs::Tracer::Instance().SetEnabled(true);
   mio::obs::ResetMetrics();
   mio::MemoryTracker::Instance().Observe("dataset", set.MemoryUsageBytes());
-
-  mio::obs::RunInfo info;
-  info.bench = "mio_cli";
-  info.dataset = args.GetString("in", "");
-  info.algo = args.Has("delta") ? "temporal" : algo;
-  info.r = r;
-  info.k = k;
-  info.threads = threads;
-  ArmObservabilityBackstop(args, info);
+  mio::obs::QlogRecord id = CliIdentity(args, "query", algo, r, set.size());
+  ArmObservabilityBackstop(args, id);
 
   mio::Timer t;
   mio::QueryResult res;
   if (args.Has("delta")) {
-    algo = "temporal";
     res = mio::TemporalMioQuery(set, r, args.GetDouble("delta", 0.0), k);
   } else if (algo == "nl") {
     res = mio::NestedLoopQuery(set, r, threads, k);
@@ -574,9 +576,10 @@ int CmdQuery(const mio::ArgParser& args) {
   double elapsed = t.ElapsedSeconds();
   PrintResult(res, elapsed);
 
-  info.algo = algo;
-  info.wall_seconds = elapsed;
-  int obs_rc = EmitObservability(args, res, info);
+  mio::obs::MetricsSnapshot metrics = mio::obs::SnapshotMetrics();
+  id.wall_seconds = elapsed;
+  int obs_rc = EmitObservability(
+      args, {mio::obs::QlogRecordFromResult(std::move(id), res, &metrics)});
   mio::obs::DisarmExitFlush();
   if (obs_rc != 0) return obs_rc;
   // A guardrail-terminated query still printed its best-so-far answer;
@@ -596,214 +599,91 @@ int CmdSweep(const mio::ArgParser& args) {
   opt.reuse_grid = true;  // same-ceiling queries share the large grid
   if (args.Has("trace-out")) mio::obs::Tracer::Instance().SetEnabled(true);
 
-  mio::obs::RunInfo info;
-  info.bench = "mio_cli_sweep";
-  info.dataset = args.GetString("in", "");
-  info.algo = "bigrid-label";
-  info.k = opt.k;
-  info.threads = opt.threads;
-  ArmObservabilityBackstop(args, info);
+  const std::vector<double> radii = args.GetDoubleList("r", {4, 6, 8, 10});
+  if (radii.empty()) {
+    return StatusExit(
+        mio::Status::InvalidArgument("sweep: --r lists no radius"));
+  }
+  ArmObservabilityBackstop(args, CliIdentity(args, "sweep", "bigrid-label",
+                                             radii.front(), set.size()));
 
   std::printf("%8s %10s %10s %12s %10s\n", "r", "winner", "tau", "time[s]",
               "labels");
-  mio::QueryResult last;
-  double last_r = 0.0, last_wall = 0.0;
-  for (double r : args.GetDoubleList("r", {4, 6, 8, 10})) {
+  // One record per radius, failed or empty results included.
+  std::vector<mio::obs::QlogRecord> records;
+  for (double r : radii) {
     bool had = engine.HasLabelsFor(r);
+    mio::obs::ResetMetrics();
     mio::Timer t;
     mio::QueryResult res = engine.Query(r, opt);
-    if (res.topk.empty()) continue;
     double elapsed = t.ElapsedSeconds();
-    std::printf("%8.2f %10u %10u %12.4f %10s\n", r, res.best().id,
-                res.best().score, elapsed, had ? "reused" : "recorded");
-    last = std::move(res);
-    last_r = r;
-    last_wall = elapsed;
+    if (res.topk.empty()) {
+      std::printf("%8.2f %10s %10s %12.4f %10s\n", r, "-", "-", elapsed,
+                  mio::StatusCodeName(res.status.code()));
+    } else {
+      std::printf("%8.2f %10u %10u %12.4f %10s\n", r, res.best().id,
+                  res.best().score, elapsed, had ? "reused" : "recorded");
+    }
+    mio::obs::MetricsSnapshot metrics = mio::obs::SnapshotMetrics();
+    mio::obs::QlogRecord id =
+        CliIdentity(args, "sweep", "bigrid-label", r, set.size());
+    id.query_index = records.size();
+    id.wall_seconds = elapsed;
+    records.push_back(
+        mio::obs::QlogRecordFromResult(std::move(id), res, &metrics));
   }
 
-  info.r = last_r;
-  info.wall_seconds = last_wall;
-  int obs_rc = EmitObservability(args, last, info);
+  int obs_rc = EmitObservability(args, records);
   mio::obs::DisarmExitFlush();
   return obs_rc;
 }
 
 // --- mio profile -----------------------------------------------------------
 
-/// Median over the measured runs of one double drawn per run.
-template <typename F>
-double MedianOver(const std::vector<mio::QueryStats>& runs, F get) {
-  std::vector<double> v;
-  v.reserve(runs.size());
-  for (const mio::QueryStats& s : runs) v.push_back(get(s));
-  return mio::obs::Median(std::move(v));
-}
-
-/// Element-wise median of one phase's PMU counts across the runs.
-mio::obs::PmuCounts PmuMedianOver(
-    const std::vector<mio::QueryStats>& runs,
-    mio::obs::PmuCounts mio::PhaseHardware::*phase) {
-  mio::obs::PmuCounts out;
-  for (int e = 0; e < mio::obs::kNumPmuEvents; ++e) {
-    mio::obs::PmuEvent pe = static_cast<mio::obs::PmuEvent>(e);
-    double med = MedianOver(runs, [&](const mio::QueryStats& s) {
-      return static_cast<double>((s.hardware.*phase).Get(pe));
-    });
-    out.Set(pe, static_cast<std::uint64_t>(med + 0.5));
-  }
-  for (const mio::QueryStats& s : runs) out.valid |= (s.hardware.*phase).valid;
-  return out;
-}
-
-void WriteProfilePmu(mio::obs::JsonWriter& w, const char* key,
-                     const mio::obs::PmuCounts& c) {
-  if (c.Empty()) return;
-  w.Key(key).BeginObject();
-  for (int e = 0; e < mio::obs::kNumPmuEvents; ++e) {
-    mio::obs::PmuEvent pe = static_cast<mio::obs::PmuEvent>(e);
-    std::uint64_t v = c.Get(pe);
-    if (v == 0 && !c.valid) continue;  // timing tier: task_clock_ns only
-    w.Key(mio::obs::PmuEventName(pe)).UInt(v);
-  }
-  if (c.valid) {
-    w.Key("ipc").Double(c.Ipc());
-    w.Key("cache_miss_rate").Double(c.CacheMissRate());
-  }
-  w.EndObject();
-}
-
 int CmdProfile(const mio::ArgParser& args) {
   mio::Result<mio::ObjectSet> loaded = LoadAny(args.GetString("in", ""));
   if (!loaded.ok()) return StatusExit(loaded.status());
   const mio::ObjectSet& set = loaded.value();
   double r = args.GetDouble("r", 4.0);
-  std::size_t k = static_cast<std::size_t>(args.GetInt("k", 1));
-  int threads = static_cast<int>(args.GetInt("threads", 1));
   int warmup = std::max(0, static_cast<int>(args.GetInt("warmup", 1)));
   int runs = std::max(1, static_cast<int>(args.GetInt("runs", 5)));
+  const std::string algo = args.Has("labels") ? "bigrid-label" : "bigrid";
 
   mio::MioEngine engine(set, args.GetString("labels", ""));
   mio::QueryOptions opt;
-  opt.k = k;
-  opt.threads = threads;
+  opt.k = static_cast<std::size_t>(args.GetInt("k", 1));
+  opt.threads = static_cast<int>(args.GetInt("threads", 1));
   opt.use_labels = opt.record_labels = args.Has("labels");
 
   for (int i = 0; i < warmup; ++i) (void)engine.Query(r, opt);
 
-  std::vector<double> wall;
-  std::vector<mio::QueryStats> stats;
+  // One qlog record per measured run; the summary is the qlog report.
+  const std::string out = args.GetString("out", "-");
+  mio::obs::QlogWriter writer;
+  mio::Status st = writer.Open(out);
+  if (!st.ok()) return StatusExit(st);
+  std::vector<mio::obs::QlogRecord> records;
   for (int i = 0; i < runs; ++i) {
     mio::Timer t;
     mio::QueryResult res = engine.Query(r, opt);
     if (!res.status.ok()) return StatusExit(res.status);
-    wall.push_back(t.ElapsedSeconds());
-    stats.push_back(std::move(res.stats));
+    mio::obs::QlogRecord id = CliIdentity(args, "profile", algo, r, set.size());
+    id.query_index = static_cast<std::uint64_t>(i);
+    id.wall_seconds = t.ElapsedSeconds();
+    records.push_back(mio::obs::QlogRecordFromResult(std::move(id), res));
+    st = writer.Append(records.back());
+    if (!st.ok()) return StatusExit(st);
   }
-
-  const mio::obs::PmuTier tier = mio::obs::ActivePmuTier();
-  mio::obs::JsonWriter w;
-  w.BeginObject();
-  w.Key("schema").String("mio-profile-v1");
-  w.Key("git").String(mio::obs::GitDescribe());
-  w.Key("dataset").String(args.GetString("in", ""));
-  w.Key("algo").String(args.Has("labels") ? "bigrid-label" : "bigrid");
-  w.Key("params").BeginObject();
-  w.Key("r").Double(r);
-  w.Key("k").UInt(k);
-  w.Key("threads").Int(threads);
-  w.Key("warmup").Int(warmup);
-  w.Key("runs").Int(runs);
-  w.EndObject();
-  w.Key("kernel_tier").String(mio::KernelTierName(mio::ActiveKernelTier()));
-  w.Key("pmu_tier").String(mio::obs::PmuTierName(tier));
-  // Machine-detectable marker that hardware counters were unavailable and
-  // only the steady-clock timing story is present.
-  if (tier == mio::obs::PmuTier::kTiming) w.Key("fallback").String("timing");
-  {
-    std::vector<double> sorted = wall;
-    w.Key("wall_seconds").BeginObject();
-    w.Key("median").Double(mio::obs::Median(sorted));
-    w.Key("min").Double(*std::min_element(wall.begin(), wall.end()));
-    w.Key("max").Double(*std::max_element(wall.begin(), wall.end()));
-    w.EndObject();
-  }
-  w.Key("phases").BeginObject();
-  w.Key("label_input").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.label_input; }));
-  w.Key("grid_mapping").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.grid_mapping; }));
-  w.Key("lower_bounding").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.lower_bounding; }));
-  w.Key("upper_bounding").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.upper_bounding; }));
-  w.Key("verification").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.verification; }));
-  w.Key("total").Double(MedianOver(
-      stats, [](const mio::QueryStats& s) { return s.phases.Total(); }));
-  w.EndObject();
-  {
-    mio::obs::PmuCounts label_input =
-        PmuMedianOver(stats, &mio::PhaseHardware::label_input);
-    mio::obs::PmuCounts grid =
-        PmuMedianOver(stats, &mio::PhaseHardware::grid_mapping);
-    mio::obs::PmuCounts lb =
-        PmuMedianOver(stats, &mio::PhaseHardware::lower_bounding);
-    mio::obs::PmuCounts ub =
-        PmuMedianOver(stats, &mio::PhaseHardware::upper_bounding);
-    mio::obs::PmuCounts verify =
-        PmuMedianOver(stats, &mio::PhaseHardware::verification);
-    mio::obs::PmuCounts total = label_input;
-    total += grid;
-    total += lb;
-    total += ub;
-    total += verify;
-    w.Key("hardware").BeginObject();
-    w.Key("phases").BeginObject();
-    WriteProfilePmu(w, "label_input", label_input);
-    WriteProfilePmu(w, "grid_mapping", grid);
-    WriteProfilePmu(w, "lower_bounding", lb);
-    WriteProfilePmu(w, "upper_bounding", ub);
-    WriteProfilePmu(w, "verification", verify);
-    WriteProfilePmu(w, "total", total);
-    w.EndObject();
-    if (total.valid) {
-      w.Key("derived").BeginObject();
-      w.Key("cycles_per_point")
-          .Double(MedianOver(stats, [](const mio::QueryStats& s) {
-            return s.total_points > 0
-                       ? static_cast<double>(s.hardware.Total().Get(
-                             mio::obs::PmuEvent::kCycles)) /
-                             static_cast<double>(s.total_points)
-                       : 0.0;
-          }));
-      w.Key("cycles_per_candidate")
-          .Double(MedianOver(stats, [](const mio::QueryStats& s) {
-            return s.num_verified > 0
-                       ? static_cast<double>(s.hardware.verification.Get(
-                             mio::obs::PmuEvent::kCycles)) /
-                             static_cast<double>(s.num_verified)
-                       : 0.0;
-          }));
-      w.EndObject();
-    }
-    w.EndObject();
-  }
-  w.EndObject();
-
-  std::string doc = std::move(w).Take();
-  std::string error;
-  if (!mio::obs::ValidateJson(doc, &error)) {
-    std::fprintf(stderr, "internal error: profile JSON invalid: %s\n",
-                 error.c_str());
-    return 1;
-  }
-  std::string out = args.GetString("out", "-");
-  mio::Status st = mio::obs::WriteTextFile(out, doc + "\n");
+  st = writer.Close();
   if (!st.ok()) return StatusExit(st);
-  if (out != "-") {
-    std::printf("profile: %s (%d runs, pmu tier %s)\n", out.c_str(), runs,
-                mio::obs::PmuTierName(tier));
-  }
+
+  // With --out=- the records own stdout; the summary goes to stderr.
+  std::FILE* summary = out == "-" ? stderr : stdout;
+  std::fprintf(summary, "profile: %s (%d runs, pmu tier %s)\n", out.c_str(),
+               runs, mio::obs::PmuTierName(mio::obs::ActivePmuTier()));
+  std::fputs(
+      mio::obs::FormatQlogReport(mio::obs::BuildQlogReport(records)).c_str(),
+      summary);
   return 0;
 }
 
