@@ -85,6 +85,22 @@ void BM_EwahSetAscending(benchmark::State& state) {
 }
 BENCHMARK(BM_EwahSetAscending)->Arg(1024)->Arg(16384);
 
+// The same ascending ids encoded straight into a pool, the BIGrid cell
+// storage: one bitset of `count` ids per iteration, no Ewah object.
+void BM_EwahPoolAppend(benchmark::State& state) {
+  std::size_t count = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    mio::EwahPool pool;
+    pool.Append([&](mio::EwahIdEncoder& enc) {
+      for (std::size_t i = 0; i < count; ++i) enc.Add(i * 17);
+    });
+    benchmark::DoNotOptimize(pool);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_EwahPoolAppend)->Arg(1024)->Arg(16384);
+
 void BM_EwahCount(benchmark::State& state) {
   mio::Ewah a;
   mio::PlainBitset pa;
@@ -170,10 +186,12 @@ void PrintCompressionReport() {
     mio::BiGrid grid(set, 4.0);
     grid.Build();
     mio::BitsetCompressionStats stats = grid.CompressionStats();
-    // Re-encode every small-cell bitset under Roaring for comparison.
+    // Re-encode every large-cell bitset under Roaring for comparison.
     std::size_t roaring_bytes = 0;
-    for (const mio::Ewah& bits : grid.large().bits) {
-      roaring_bytes += mio::Roaring::FromPlain(bits.ToPlain()).CompressedBytes();
+    const mio::EwahPool& cells = grid.large().bits;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      roaring_bytes +=
+          mio::Roaring::FromPlain(cells[c].ToPlain()).CompressedBytes();
     }
     std::printf("%-10s %10zu %14zu %16zu %12zu %9.1f%%\n",
                 mio::datagen::PresetName(preset).c_str(), stats.num_bitsets,

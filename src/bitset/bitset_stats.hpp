@@ -26,10 +26,18 @@ struct BitsetCompressionStats {
                      static_cast<double>(uncompressed_bytes);
   }
 
-  void Add(const Ewah& b) {
+  void Add(EwahView b) {
     ++num_bitsets;
     compressed_bytes += b.CompressedBytes();
     uncompressed_bytes += b.UncompressedBytes();
+  }
+
+  /// Adds the bitset {id} without encoding it: a lone bit always encodes
+  /// as one marker plus one literal word.
+  void AddSingleton(std::size_t id) {
+    ++num_bitsets;
+    compressed_bytes += 2 * 8;
+    uncompressed_bytes += (id / 64 + 1) * 8;
   }
 
   void Merge(const BitsetCompressionStats& other) {

@@ -7,6 +7,7 @@
 // universe.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -23,7 +24,7 @@ class UnionAccumulator {
       : words_((bits + 63) / 64, 0) {}
 
   /// this |= b. Returns true when the OR set at least one new bit.
-  bool Or(const Ewah& b) {
+  bool Or(EwahView b) {
     bool changed = false;
     b.ForEachNonZeroWord([&](std::size_t w, std::uint64_t v) {
       if (w >= words_.size()) words_.resize(w + 1, 0);
@@ -69,7 +70,25 @@ class UnionAccumulator {
   }
 
   /// The union as a compressed bitset.
-  Ewah ToEwah();
+  Ewah ToEwah() {
+    Ewah out;
+    EncodeTo(&out);
+    return out;
+  }
+
+  /// Emits the union's words in ascending order, zero runs between them,
+  /// into an Ewah or an EwahEncoder (anything with AddRunWords and
+  /// AddLiteralWord).
+  template <typename Sink>
+  void EncodeTo(Sink* out) {
+    std::sort(touched_.begin(), touched_.end());
+    std::size_t next = 0;  // first word not yet emitted
+    for (std::uint32_t w : touched_) {
+      if (w > next) out->AddRunWords(false, w - next);
+      out->AddLiteralWord(words_[w]);
+      next = static_cast<std::size_t>(w) + 1;
+    }
+  }
 
  private:
   std::vector<std::uint64_t> words_;

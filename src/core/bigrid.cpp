@@ -4,6 +4,7 @@
 #include <array>
 #include <mutex>
 
+#include "bitset/union_accumulator.hpp"
 #include "common/fault_injection.hpp"
 #include "common/guardrails.hpp"
 #include "common/omp_utils.hpp"
@@ -55,12 +56,13 @@ constexpr std::int32_t CellKey::*kCoords[3] = {&CellKey::x, &CellKey::y,
 
 /// Stable LSD radix sort of `entries` by cell key, in CellKey::operator<
 /// order (x, then y, then z). Stability keeps equal keys in input order —
-/// the ascending (object, point) order the grids are built in. Digits
-/// above the highest bit where a coordinate's minimum and maximum differ
-/// are constant over the input and skipped, so typical extents sort in
-/// three to six byte passes. Each pass splits the input into one chunk
-/// per thread: per-chunk digit counts, one exclusive scan, then a stable
-/// scatter.
+/// the ascending (object, point) order the grids are built in. Digits are
+/// taken of each coordinate's offset from its minimum (an order-preserving
+/// map onto [0, max - min]), so a coordinate costs one byte pass per byte
+/// of its extent, whatever its sign: under 256 cells one pass, under 65536
+/// two, a constant coordinate none. Each pass splits the input into one
+/// chunk per thread: per-chunk digit counts, one exclusive scan, then a
+/// stable scatter.
 template <typename Entry>
 void SortByCellKey(std::vector<Entry>* entries, int threads) {
   const std::size_t n = entries->size();
@@ -83,12 +85,13 @@ void SortByCellKey(std::vector<Entry>* entries, int threads) {
   std::vector<std::array<std::size_t, 256>> counts(
       static_cast<std::size_t>(threads));
   for (int d = 2; d >= 0; --d) {
-    for (int shift = 0; shift < 32 && ((lo[d] ^ hi[d]) >> shift) != 0;
+    for (int shift = 0; shift < 32 && ((hi[d] - lo[d]) >> shift) != 0;
          shift += 8) {
 #pragma omp parallel num_threads(threads) if (threads > 1)
       {
         // Loop-invariant copies: stores through `out` may not alias them.
         const std::int32_t CellKey::*coord = kCoords[d];
+        const std::uint32_t base = lo[d];
         const unsigned sh = static_cast<unsigned>(shift);
         const Entry* in = src;
         Entry* out = dst;
@@ -98,7 +101,7 @@ void SortByCellKey(std::vector<Entry>* entries, int threads) {
         const std::size_t end = n * (t + 1) / team;
         std::array<std::size_t, 256> count{};
         for (std::size_t i = begin; i < end; ++i) {
-          ++count[(Biased(in[i].key.*coord) >> sh) & 0xFFu];
+          ++count[((Biased(in[i].key.*coord) - base) >> sh) & 0xFFu];
         }
         counts[t] = count;
 #pragma omp barrier
@@ -115,7 +118,8 @@ void SortByCellKey(std::vector<Entry>* entries, int threads) {
         }
         count = counts[t];
         for (std::size_t i = begin; i < end; ++i) {
-          out[count[(Biased(in[i].key.*coord) >> sh) & 0xFFu]++] = in[i];
+          out[count[((Biased(in[i].key.*coord) - base) >> sh) & 0xFFu]++] =
+              in[i];
         }
       }
       std::swap(src, dst);
@@ -191,14 +195,14 @@ void JoinNeighbours(const std::vector<CellKey>& keys,
 /// Small cells and key lists from entries sorted by key. A key enters
 /// o_i.L iff its cell holds at least two distinct objects and o_i is one
 /// of them — exactly the membership Algorithm 3 maintains incrementally
-/// (single-object cells contribute nothing to any lower bound). Lists are
-/// filled in cell order, so each is ascending.
+/// (single-object cells contribute nothing to any lower bound, so their
+/// bitsets are only tallied). Lists are filled in cell order, so each is
+/// ascending.
 void FillSmallGrid(const std::vector<SmallEntry>& sorted, std::size_t n,
                    SmallGridData* out) {
-  out->bits.clear();
-  out->bits_heap_bytes = 0;
+  out->bits = EwahPool();
+  out->singles = BitsetCompressionStats();
   out->key_list_begin.assign(n + 1, 0);
-  Ewah bits;  // built here, then copied out at its exact size
   struct Shared {
     std::size_t begin, end;  // entry range
     std::uint32_t cell;
@@ -207,23 +211,23 @@ void FillSmallGrid(const std::vector<SmallEntry>& sorted, std::size_t n,
   for (std::size_t s = 0, e = 0; s < sorted.size(); s = e) {
     e = KeyRunEnd(sorted, s);
     const auto c = static_cast<std::uint32_t>(out->bits.size());
-    bits.Reset();
-    std::size_t distinct = 0;
-    for (std::size_t k = s; k < e; ++k) {
-      if (k > s && sorted[k].obj == sorted[k - 1].obj) continue;
-      bits.Set(sorted[k].obj);
-      ++distinct;
+    // Objects ascend within a key run, so the cell is shared iff its
+    // first and last entries differ.
+    if (sorted[s].obj == sorted[e - 1].obj) {
+      out->singles.AddSingleton(sorted[s].obj);
+      out->bits.AppendEmpty();
+      continue;
     }
-    out->bits.push_back(bits);
-    out->bits_heap_bytes += out->bits.back().MemoryUsageBytes();
-    if (distinct < 2) continue;
+    out->bits.Append([&](EwahIdEncoder& enc) {
+      for (std::size_t k = s; k < e; ++k) enc.Add(sorted[k].obj);
+    });
     shared.push_back({s, e, c});
     for (std::size_t k = s; k < e; ++k) {
       if (k > s && sorted[k].obj == sorted[k - 1].obj) continue;
       ++out->key_list_begin[sorted[k].obj + 1];
     }
   }
-  out->bits.shrink_to_fit();
+  out->bits.ShrinkToFit();
   for (std::size_t i = 0; i < n; ++i) {
     out->key_list_begin[i + 1] += out->key_list_begin[i];
   }
@@ -256,21 +260,15 @@ void FillLargeGrid(std::vector<LargeEntry>* entries, const ObjectSet& objs,
   g->ys.resize(n);
   g->zs.resize(n);
   g->point_cell.assign(g->point_base.back(), kNoCell);
-  g->bits_heap_bytes = 0;
-  Ewah bits;  // built here, then copied out at its exact size
   std::vector<LargeEntry> reorder;
   for (std::size_t s = 0, e = 0; s < n; s = e) {
     e = KeyRunEnd(sorted, s);
     const CellKey key = sorted[s].key;
     const auto c = static_cast<std::uint32_t>(g->keys.size());
     g->keys.push_back(key);
-    bits.Reset();
-    for (std::size_t k = s; k < e; ++k) {
-      if (k > s && sorted[k].obj == sorted[k - 1].obj) continue;
-      bits.Set(sorted[k].obj);
-    }
-    g->bits.push_back(bits);
-    g->bits_heap_bytes += g->bits.back().MemoryUsageBytes();
+    g->bits.Append([&](EwahIdEncoder& enc) {
+      for (std::size_t k = s; k < e; ++k) enc.Add(sorted[k].obj);
+    });
     g->cell_runs.push_back(static_cast<std::uint32_t>(g->run_obj.size()));
 
     const bool octants = e - s >= kOctantMinPoints;
@@ -337,7 +335,7 @@ void FillLargeGrid(std::vector<LargeEntry>* entries, const ObjectSet& objs,
   g->run_start.push_back(static_cast<std::uint32_t>(n));
   // Sizes were unknown up front; return the growth slack.
   g->keys.shrink_to_fit();
-  g->bits.shrink_to_fit();
+  g->bits.ShrinkToFit();
   g->cell_runs.shrink_to_fit();
   g->run_obj.shrink_to_fit();
   g->run_start.shrink_to_fit();
@@ -547,12 +545,33 @@ const CellAdj& BiGrid::EnsureAdj(std::uint32_t c) {
   std::lock_guard<std::mutex> lock(StripeFor(&a));
   if (a.Ready()) return a;
   obs::Add(obs::Counter::kAdjBuilds);
-  Ewah acc = g.bits[c];
-  for (std::uint32_t nb : g.Neighbors(c)) acc.OrWith(g.bits[nb]);
-  a.bits = std::move(acc);
-  a.count = static_cast<std::uint32_t>(a.bits.Count());
-  g.adj_heap_bytes.fetch_add(a.bits.MemoryUsageBytes(),
-                             std::memory_order_relaxed);
+  const EwahView own = g.bits[c];
+  if (g.Neighbors(c).empty()) {
+    // No occupied neighbour: b_adj(c) = b(c), viewed in place.
+    a.bits = own;
+    a.count = static_cast<std::uint32_t>(own.Count());
+  } else {
+    // Union in per-thread scratch, then one exact-size allocation.
+    thread_local UnionAccumulator acc;
+    thread_local std::vector<std::uint64_t> words;
+    acc.Clear();
+    words.clear();
+    acc.Or(own);
+    std::size_t size_in_bits = own.SizeInBits();
+    for (std::uint32_t nb : g.Neighbors(c)) {
+      const EwahView b = g.bits[nb];
+      acc.Or(b);
+      size_in_bits = std::max(size_in_bits, b.SizeInBits());
+    }
+    EwahEncoder enc(&words);
+    acc.EncodeTo(&enc);
+    a.owned.reset(new std::uint64_t[words.size()]);
+    std::copy(words.begin(), words.end(), a.owned.get());
+    a.bits = EwahView(a.owned.get(), words.size(), size_in_bits);
+    a.count = static_cast<std::uint32_t>(acc.Count());
+    g.adj_heap_bytes.fetch_add(words.size() * sizeof(std::uint64_t),
+                               std::memory_order_relaxed);
+  }
   std::atomic_ref<std::uint8_t>(a.ready).store(1, std::memory_order_release);
   return a;
 }
@@ -563,11 +582,11 @@ const CellAdj& BiGrid::EnsureAdj(std::uint32_t c) {
 
 MemoryBreakdown BiGrid::MemoryUsage() const {
   MemoryBreakdown mb;
-  mb.Add("small_grid", VecBytes(small_.bits) + small_.bits_heap_bytes);
+  mb.Add("small_grid", small_.bits.HeapBytes());
 
   const LargeGridData& g = *large_;
   mb.Add("large_grid",
-         VecBytes(g.keys) + VecBytes(g.bits) + g.bits_heap_bytes +
+         VecBytes(g.keys) + g.bits.HeapBytes() +
              VecBytes(g.cell_runs) + VecBytes(g.run_obj) +
              VecBytes(g.run_start) + VecBytes(g.xs) + VecBytes(g.ys) +
              VecBytes(g.zs) + VecBytes(g.cell_octants) + VecBytes(g.oct_runs) +
@@ -584,9 +603,13 @@ MemoryBreakdown BiGrid::MemoryUsage() const {
 }
 
 BitsetCompressionStats BiGrid::CompressionStats() const {
-  BitsetCompressionStats stats;
-  for (const Ewah& bits : small_.bits) stats.Add(bits);
-  for (const Ewah& bits : large_->bits) stats.Add(bits);
+  BitsetCompressionStats stats = small_.singles;
+  for (std::size_t c = 0; c < small_.bits.size(); ++c) {
+    if (small_.bits[c].NumWords() > 0) stats.Add(small_.bits[c]);
+  }
+  for (std::size_t c = 0; c < large_->bits.size(); ++c) {
+    stats.Add(large_->bits[c]);
+  }
   for (const CellAdj& a : large_->adj) {
     if (a.Ready()) stats.Add(a.bits);
   }

@@ -23,6 +23,12 @@
 // empty cells) and every point maps to exactly one cell per grid (no
 // replication); mapping is O(nm) plus the linear-time radix sort.
 //
+// Cell bitsets live in one EWAH word pool per grid (EwahPool): each cell's
+// words are encoded straight from its run of the sorted entries, so a
+// build allocates per array, never per cell. The small grid keeps words
+// only for cells shared by two or more objects — the only ones a key list
+// names — and tallies the single-object cells for CompressionStats.
+//
 // Because the large grid depends only on ceil(r) (the observation behind
 // the paper's label mechanism, §III-D), it is held in a shareable
 // LargeGridData block: the engine can cache it — including the memoised
@@ -95,9 +101,14 @@ inline double MinDist2ToOctantBox(const Point& p, const double* boxes,
   return d2;
 }
 
-/// Lazily memoised neighbourhood union b_adj(c) of one large cell.
+/// Lazily memoised neighbourhood union b_adj(c) of one large cell. A
+/// default-constructed entry holds no heap memory, so the memo table costs
+/// one allocation per grid. A cell with no occupied neighbour has
+/// b_adj(c) = b(c) and views the grid's pool; any other cell's union is
+/// encoded once into `owned`.
 struct CellAdj {
-  Ewah bits;                ///< b_adj(c); valid once Ready()
+  EwahView bits;            ///< b_adj(c); valid once Ready()
+  std::unique_ptr<std::uint64_t[]> owned;  ///< words of `bits`, if not b(c)
   std::uint32_t count = 0;  ///< |b_adj(c)|, memoised for Labeling-1
   std::uint8_t ready = 0;
 
@@ -134,13 +145,15 @@ struct PointGroup {
 /// ascending by object id within each octant, so an object may own up to
 /// eight runs. Scans skip whole octants whose box lies farther than r.
 ///
+/// `bits` pools every b(c), cell by cell, in one EWAH word array.
+///
 /// `complete` marks grids built from every point (no label pruning); only
 /// complete grids may be cached, since a labelled build omits points.
 struct LargeGridData {
   double width = 0.0;
 
   std::vector<CellKey> keys;          ///< cell keys, ascending
-  std::vector<Ewah> bits;             ///< b(c)
+  EwahPool bits;                      ///< b(c), one slot per cell
   std::vector<std::uint32_t> cell_runs;  ///< C+1 offsets into run_*
   std::vector<ObjectId> run_obj;         ///< object of each run
   std::vector<std::uint32_t> run_start;  ///< R+1 offsets into xs/ys/zs
@@ -165,10 +178,8 @@ struct LargeGridData {
   bool has_groups = false;
   bool complete = false;
 
-  /// Heap bytes of `bits` (fixed at build) and of memoised `adj` bitsets
-  /// and groups (grown as they are memoised), so MemoryUsage never walks
-  /// the cells.
-  std::size_t bits_heap_bytes = 0;
+  /// Heap bytes of memoised `adj` words and of the groups (grown as they
+  /// are memoised), so MemoryUsage never walks the cells.
   std::atomic<std::size_t> adj_heap_bytes{0};
   std::size_t groups_bytes = 0;
 
@@ -205,12 +216,15 @@ struct LargeGridData {
   }
 };
 
-/// The per-query small grid: the bitsets b(c) of its cells in ascending
-/// key order, and the key lists as CSR over objects (o_i.L is
+/// The per-query small grid: one pool slot per cell in ascending key
+/// order, holding b(c) for cells shared by two or more objects and no
+/// words for single-object cells (no key list names them, so lower
+/// bounding never reads them; `singles` tallies their would-be encoding
+/// for CompressionStats). The key lists are CSR over objects (o_i.L is
 /// key_list_cells[key_list_begin[i] .. key_list_begin[i+1])).
 struct SmallGridData {
-  std::vector<Ewah> bits;
-  std::size_t bits_heap_bytes = 0;  ///< heap bytes of `bits`
+  EwahPool bits;
+  BitsetCompressionStats singles;  ///< the single-object cells' bitsets
   std::vector<std::uint32_t> key_list_begin;
   std::vector<std::uint32_t> key_list_cells;
 };
@@ -249,7 +263,10 @@ class BiGrid {
   /// Small cells are indexed in ascending key order; the keys themselves
   /// are dropped once the key lists hold cell indices.
   std::size_t NumSmallCells() const { return small_.bits.size(); }
-  const Ewah& SmallBits(std::uint32_t c) const { return small_.bits[c]; }
+  /// b(c) of a shared small cell (one a key list names); empty for a
+  /// single-object cell, whose bitset is not stored.
+  EwahView SmallBits(std::uint32_t c) const { return small_.bits[c]; }
+  const SmallGridData& small() const { return small_; }
 
   /// o_i.L — small cells shared with at least one other object (exactly
   /// the cells that contribute to the lower bound), as cell indices.

@@ -316,7 +316,7 @@ UpperBoundResult UbGreedyDivide(BiGrid& grid, std::uint32_t threshold,
         const std::uint32_t cell = grid.LargeCellOf(i, j);
         std::uint32_t& slot = memo_slot[cell];
         if (slot == kNoCell) {
-          Ewah adj = large.bits[cell];
+          Ewah adj(large.bits[cell]);
           for (std::uint32_t nb : large.Neighbors(cell)) {
             adj.OrWith(large.bits[nb]);
           }

@@ -96,25 +96,41 @@ void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
   std::size_t octants_pruned = 0;
   // Scan the cell itself, then its neighbours, stopping as soon as no
   // candidate remains near p. Postings are only scanned for set bits of
-  // b (Algorithm 6 line 13); each scanned run is one batch-kernel call
-  // over its contiguous SoA coordinates.
+  // b (Algorithm 6 line 13). Most visited runs miss, so each run range is
+  // first compacted, in chunks of up to 64 and without branching, to the
+  // runs whose object bit is set; only those are then scanned, in order,
+  // each as one batch-kernel call over its contiguous SoA coordinates. A
+  // range holds at most one run per object (see LargeGridData), so
+  // confirming an object cannot invalidate a later run of the same chunk.
+  // Every run's object is in b_adj(cell), so its bit lies inside b's words.
+  const std::uint64_t* b_words = b.words().data();
   auto scan_runs = [&](std::size_t run_begin,
                        std::size_t run_end) -> bool {  // false = stop
     visited += run_end - run_begin;
-    for (std::size_t q = run_begin; q < run_end; ++q) {
-      const ObjectId obj = g.run_obj[q];
-      if (!b.Test(obj)) continue;
-      ++postings;
-      const PostingView posting = g.PostingAt(q);
-      std::ptrdiff_t hit =
-          AnyWithin(p, posting.xs, posting.ys, posting.zs, posting.size, r2);
-      if (hit >= 0) {
-        comps += static_cast<std::size_t>(hit) + 1;
-        acc->Set(obj);
-        b.Clear(obj);
-        if (--remaining == 0) return false;
-      } else {
-        comps += posting.size;
+    std::uint32_t hits[64];
+    for (std::size_t chunk = run_begin; chunk < run_end; chunk += 64) {
+      const std::size_t chunk_end = std::min(chunk + 64, run_end);
+      std::size_t num_hits = 0;
+      for (std::size_t q = chunk; q < chunk_end; ++q) {
+        const ObjectId obj = g.run_obj[q];
+        hits[num_hits] = static_cast<std::uint32_t>(q);
+        num_hits += (b_words[obj / 64] >> (obj % 64)) & 1u;
+      }
+      for (std::size_t h = 0; h < num_hits; ++h) {
+        const std::uint32_t q = hits[h];
+        const ObjectId obj = g.run_obj[q];
+        ++postings;
+        const PostingView posting = g.PostingAt(q);
+        std::ptrdiff_t hit = AnyWithin(p, posting.xs, posting.ys, posting.zs,
+                                       posting.size, r2);
+        if (hit >= 0) {
+          comps += static_cast<std::size_t>(hit) + 1;
+          acc->Set(obj);
+          b.Clear(obj);
+          if (--remaining == 0) return false;
+        } else {
+          comps += posting.size;
+        }
       }
     }
     return true;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
@@ -39,14 +40,23 @@ TEST(BiGridTest, SmallCellBitsMatchBruteForce) {
     }
   }
   // Cells are indexed in ascending key order (the map's order, since
-  // tuples compare like CellKey: x, then y, then z).
+  // tuples compare like CellKey: x, then y, then z). Every cell counts;
+  // only cells shared by two or more objects store their bitset.
   ASSERT_EQ(grid.NumSmallCells(), want.size());
   std::uint32_t cell = 0;
+  std::size_t shared = 0;
   for (const auto& [kt, objs] : want) {
-    EXPECT_EQ(grid.SmallBits(cell).Count(), objs.size());
-    for (ObjectId o : objs) EXPECT_TRUE(grid.SmallBits(cell).Test(o));
+    if (objs.size() >= 2) {
+      ++shared;
+      EXPECT_EQ(grid.SmallBits(cell).Count(), objs.size());
+      for (ObjectId o : objs) EXPECT_TRUE(grid.SmallBits(cell).Test(o));
+    } else {
+      EXPECT_EQ(grid.SmallBits(cell).NumWords(), 0u);
+    }
     ++cell;
   }
+  EXPECT_GT(shared, 0u);
+  EXPECT_LT(shared, want.size());
 }
 
 TEST(BiGridTest, KeyListsAreExactlyMultiObjectCells) {
@@ -179,6 +189,7 @@ TEST(BiGridTest, EnsureAdjIsNeighborhoodUnion) {
   grid.Build();
   const LargeGridData& g = grid.large();
 
+  std::size_t isolated = 0;
   for (std::uint32_t cell = 0; cell < g.NumCells(); ++cell) {
     EXPECT_FALSE(g.adj[cell].Ready());
     const CellAdj& adj = grid.EnsureAdj(cell);
@@ -191,9 +202,20 @@ TEST(BiGridTest, EnsureAdjIsNeighborhoodUnion) {
     });
     EXPECT_TRUE(adj.bits.ToPlain() == want);
     EXPECT_EQ(adj.count, want.Count());
+    if (g.Neighbors(cell).empty()) {
+      // Isolated: b_adj(c) = b(c), viewed in the pool, nothing owned.
+      ++isolated;
+      EXPECT_EQ(adj.bits.words(), g.bits[cell].words());
+      EXPECT_EQ(adj.owned, nullptr);
+    } else {
+      EXPECT_EQ(adj.bits.words(), adj.owned.get());
+    }
     // Second call is a memo hit (same object, no recompute).
     EXPECT_EQ(&grid.EnsureAdj(cell), &adj);
   }
+  // The data exercises both kinds of cell.
+  EXPECT_GT(isolated, 0u);
+  EXPECT_LT(isolated, g.NumCells());
 }
 
 TEST(BiGridTest, NoEmptyCells) {
@@ -240,10 +262,8 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
     ASSERT_EQ(parallel.NumSmallCells(), serial.NumSmallCells());
     ASSERT_EQ(parallel.NumLargeCells(), serial.NumLargeCells());
 
-    // The same layout, array for array.
-    for (std::uint32_t c = 0; c < serial.NumSmallCells(); ++c) {
-      ASSERT_TRUE(parallel.SmallBits(c) == serial.SmallBits(c));
-    }
+    // The same layout, array for array and pool word for word.
+    EXPECT_TRUE(parallel.small().bits == serial.small().bits);
     for (ObjectId i = 0; i < set.size(); ++i) {
       std::span<const std::uint32_t> a = parallel.KeyList(i);
       std::span<const std::uint32_t> b = serial.KeyList(i);
@@ -251,9 +271,7 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
           << "object " << i << " threads " << threads;
     }
     EXPECT_EQ(p.keys, s.keys);
-    for (std::uint32_t c = 0; c < s.NumCells(); ++c) {
-      ASSERT_TRUE(p.bits[c] == s.bits[c]);
-    }
+    EXPECT_TRUE(p.bits == s.bits);
     EXPECT_EQ(p.cell_runs, s.cell_runs);
     EXPECT_EQ(p.run_obj, s.run_obj);
     EXPECT_EQ(p.run_start, s.run_start);
@@ -279,6 +297,105 @@ TEST(BiGridTest, ParallelBuildMatchesSerial) {
         covered += pg[k].point_idx.size();
       }
       EXPECT_EQ(covered, set[i].NumPoints());
+    }
+  }
+}
+
+TEST(BiGridTest, RadixSortedLayoutMatchesStableSort) {
+  // Lattice coordinates that stress the radix digits: ranges straddling
+  // zero, small-grid keys at the int32 extremes (large-grid keys then span
+  // all four bytes too), and constant coordinates. Points sit inside
+  // chosen small cells, a few objects per cell; at most 31 points keep
+  // every large cell below the octant layout, so runs follow the sorted
+  // entries directly.
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  struct Case {
+    const char* name;
+    std::vector<std::int32_t> xs, ys, zs;  // candidate small-cell indices
+  };
+  const std::vector<Case> cases = {
+      {"straddles zero", {-300, -129, -1, 0, 1, 255, 256}, {-2, 0, 1},
+       {-70000, 0, 70000}},
+      {"int32 extremes", {kMin + 2, -1, 0, kMax - 2}, {kMin + 2, kMax - 2},
+       {0, 5}},
+      {"constant y and z", {-5, -3, 0, 2, 4}, {7}, {-3}},
+      {"one cell", {9}, {9}, {9}},
+  };
+  const double r = 1.0;
+  const double ws = SmallGridWidth(r);
+  for (const Case& tc : cases) {
+    Pcg32 rng(41);
+    auto pick = [&](const std::vector<std::int32_t>& v) {
+      const std::int32_t k =
+          v[rng.NextBounded(static_cast<std::uint32_t>(v.size()))];
+      return (static_cast<double>(k) + 0.2 + 0.6 * rng.NextDouble()) * ws;
+    };
+    ObjectSet set;
+    for (int i = 0; i < 15; ++i) {
+      Object o;
+      const std::size_t m = 1 + (i % 3 == 0 ? 1 : 0);
+      for (std::size_t j = 0; j < m; ++j) {
+        o.points.push_back(Point{pick(tc.xs), pick(tc.ys), pick(tc.zs)});
+      }
+      set.Add(std::move(o));
+    }
+    ASSERT_LT(set.Stats().nm, kOctantMinPoints);
+    BiGrid grid(set, r);
+    grid.Build();
+    const LargeGridData& g = grid.large();
+
+    // Large grid: keys, runs and postings in stable-sorted entry order.
+    struct Entry {
+      CellKey key;
+      ObjectId obj;
+      Point p;
+    };
+    std::vector<Entry> large, small;
+    for (ObjectId i = 0; i < set.size(); ++i) {
+      for (const Point& p : set[i].points) {
+        large.push_back({KeyForWidth(p, grid.large_width()), i, p});
+        small.push_back({KeyForWidth(p, ws), i, p});
+      }
+    }
+    auto by_key = [](const Entry& a, const Entry& b) { return a.key < b.key; };
+    std::stable_sort(large.begin(), large.end(), by_key);
+    std::stable_sort(small.begin(), small.end(), by_key);
+    std::vector<CellKey> keys;
+    std::vector<ObjectId> run_obj;
+    std::vector<double> xs;
+    for (std::size_t k = 0; k < large.size(); ++k) {
+      const bool new_cell = k == 0 || !(large[k].key == large[k - 1].key);
+      if (new_cell) keys.push_back(large[k].key);
+      if (new_cell || large[k].obj != large[k - 1].obj) {
+        run_obj.push_back(large[k].obj);
+      }
+      xs.push_back(large[k].p.x);
+    }
+    EXPECT_EQ(g.keys, keys) << tc.name;
+    EXPECT_EQ(g.run_obj, run_obj) << tc.name;
+    EXPECT_EQ(g.xs, xs) << tc.name;
+
+    // Small grid: cell order, shared-cell bitsets and key lists.
+    std::vector<std::set<ObjectId>> cells;
+    for (std::size_t k = 0; k < small.size(); ++k) {
+      if (k == 0 || !(small[k].key == small[k - 1].key)) cells.emplace_back();
+      cells.back().insert(small[k].obj);
+    }
+    ASSERT_EQ(grid.NumSmallCells(), cells.size()) << tc.name;
+    std::vector<std::vector<std::uint32_t>> lists(set.size());
+    for (std::uint32_t c = 0; c < cells.size(); ++c) {
+      if (cells[c].size() < 2) continue;
+      std::set<ObjectId> got;
+      grid.SmallBits(c).ForEachSetBit(
+          [&](std::size_t o) { got.insert(static_cast<ObjectId>(o)); });
+      EXPECT_EQ(got, cells[c]) << tc.name << " cell " << c;
+      for (ObjectId o : cells[c]) lists[o].push_back(c);
+    }
+    for (ObjectId i = 0; i < set.size(); ++i) {
+      std::span<const std::uint32_t> got = grid.KeyList(i);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), lists[i])
+          << tc.name << " object " << i;
     }
   }
 }
@@ -309,7 +426,10 @@ TEST(BiGridTest, BuildWithLabelsSkipsPrunedPoints) {
   BiGrid grid(set, 4.0);
   grid.Build(1, &labels);
   // Object 0 must appear in no cell, and its points have no cell index.
-  for (const Ewah& bits : grid.large().bits) EXPECT_FALSE(bits.Test(0));
+  const EwahPool& large_bits = grid.large().bits;
+  for (std::size_t c = 0; c < large_bits.size(); ++c) {
+    EXPECT_FALSE(large_bits[c].Test(0));
+  }
   for (std::uint32_t c = 0; c < grid.NumSmallCells(); ++c) {
     EXPECT_FALSE(grid.SmallBits(c).Test(0));
   }

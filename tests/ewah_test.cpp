@@ -298,6 +298,168 @@ TEST(UnionAccumulatorTest, MatchesEwahOrAndReportsChange) {
   }
 }
 
+// --- the empty bitset -------------------------------------------------------
+
+TEST(EwahTest, EmptyAllocatesNothingAndResetKeepsCapacity) {
+  Ewah e;
+  EXPECT_EQ(e.MemoryUsageBytes(), 0u);
+  EXPECT_EQ(e.CompressedBytes(), 0u);
+  for (std::size_t i = 0; i < 1000; i += 7) e.Set(i);
+  const std::size_t capacity = e.MemoryUsageBytes();
+  ASSERT_GT(capacity, 0u);
+  e.Reset();
+  EXPECT_EQ(e.MemoryUsageBytes(), capacity);
+  EXPECT_EQ(e.CompressedBytes(), 0u);
+  EXPECT_TRUE(e == Ewah());
+}
+
+TEST(EwahTest, EmptyOperandOnEitherSide) {
+  Pcg32 rng(29);
+  Ewah full;
+  for (std::size_t i = 0; i < 3000; i += 1 + rng.NextBounded(50)) full.Set(i);
+  for (std::size_t i = 4000; i < 4200; ++i) full.Set(i);  // a ones run
+  const PlainBitset want = full.ToPlain();
+  const Ewah empty;
+
+  // Reads of the empty bitset.
+  EXPECT_EQ(empty.Count(), 0u);
+  EXPECT_TRUE(empty.Empty());
+  EXPECT_FALSE(empty.Test(0));
+  EXPECT_FALSE(empty.Test(4100));
+  std::size_t calls = 0;
+  empty.ForEachSetBit([&](std::size_t) { ++calls; });
+  empty.ForEachNonZeroWord([&](std::size_t, std::uint64_t) { ++calls; });
+  EXPECT_EQ(calls, 0u);
+  PlainBitset decoded = want;  // stale content must be cleared
+  empty.DecodeInto(&decoded);
+  EXPECT_EQ(decoded.Count(), 0u);
+  EXPECT_EQ(empty.ToPlain().Count(), 0u);
+
+  // Binary operations, empty on the left and on the right.
+  for (bool empty_left : {true, false}) {
+    const Ewah& a = empty_left ? empty : full;
+    const Ewah& b = empty_left ? full : empty;
+    const char* side = empty_left ? "empty left" : "empty right";
+    EXPECT_TRUE(Ewah::Or(a, b).ToPlain() == want) << side;
+    EXPECT_EQ(Ewah::And(a, b).Count(), 0u) << side;
+    EXPECT_TRUE(Ewah::Xor(a, b).ToPlain() == want) << side;
+    EXPECT_TRUE(Ewah::AndNot(a, b).ToPlain() ==
+                (empty_left ? PlainBitset() : want))
+        << side;
+    Ewah acc = a;
+    acc.OrWith(b);
+    EXPECT_TRUE(acc.ToPlain() == want) << side;
+    EXPECT_FALSE(a == b) << side;
+  }
+  EXPECT_TRUE(empty == Ewah());
+  EXPECT_TRUE(Ewah::Or(empty, empty) == empty);
+  Ewah acc;
+  acc.OrWith(empty);
+  EXPECT_TRUE(acc.Empty());
+
+  // Set after empty, including after a Reset.
+  Ewah e;
+  e.Set(4100);
+  EXPECT_EQ(e.Count(), 1u);
+  EXPECT_TRUE(e.Test(4100));
+  e.Reset();
+  e.Set(0);
+  e.Set(64);
+  EXPECT_EQ(e.Count(), 2u);
+  EXPECT_TRUE(e.Test(0));
+  EXPECT_TRUE(e.Test(64));
+}
+
+// --- the direct encoder and the pool ----------------------------------------
+
+std::vector<std::uint64_t> WordsOf(EwahView v) {
+  return std::vector<std::uint64_t>(v.words(), v.words() + v.NumWords());
+}
+
+TEST(EwahIdEncoderTest, MatchesSetWordForWord) {
+  Pcg32 rng(31, 7);
+  std::vector<std::vector<std::size_t>> cases = {
+      {},
+      {0},
+      {63},
+      {64},
+      {0, 63, 64},
+      {0, 1, 63, 64, 65, 127, 128},
+      {10000005},
+      {3, 100000, 50000000},
+  };
+  // Runs of 64 or more consecutive ids, aligned and not, so whole words
+  // fill with ones (ones-run folding), also as the final word.
+  for (std::size_t start : {0, 1, 64, 100}) {
+    for (std::size_t len : {63, 64, 65, 128, 200, 640}) {
+      std::vector<std::size_t> ids;
+      for (std::size_t i = 0; i < len; ++i) ids.push_back(start + i);
+      cases.push_back(ids);
+      ids.push_back(start + len + 1000);  // a sparse tail after the run
+      cases.push_back(ids);
+    }
+  }
+  // Random sparse and mixed ids, with repeats.
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::size_t> ids;
+    std::size_t id = rng.NextBounded(200);
+    for (int k = 0; k < 300; ++k) {
+      ids.push_back(id);
+      const std::uint32_t mode = rng.NextBounded(4);
+      id += mode == 0 ? 0 : mode == 1 ? 1 : 1 + rng.NextBounded(mode == 2 ? 70 : 5000);
+    }
+    cases.push_back(ids);
+  }
+
+  for (const std::vector<std::size_t>& ids : cases) {
+    Ewah ref;
+    for (std::size_t id : ids) ref.Set(id);
+    EwahPool pool;
+    pool.AppendEmpty();  // the bitset under test starts mid-pool
+    pool.Append([&](EwahIdEncoder& enc) {
+      for (std::size_t id : ids) enc.Add(id);
+    });
+    ASSERT_EQ(pool.size(), 2u);
+    EXPECT_EQ(WordsOf(pool[1]), WordsOf(ref.view()))
+        << ids.size() << " ids, first " << (ids.empty() ? 0 : ids[0]);
+    EXPECT_EQ(pool[1].SizeInBits(), ref.SizeInBits());
+    EXPECT_TRUE(pool[1] == ref.view());
+    EXPECT_EQ(pool[0].NumWords(), 0u);
+  }
+}
+
+TEST(EwahPoolTest, SlotsViewTheirOwnBitsets) {
+  Pcg32 rng(37);
+  EwahPool pool;
+  std::vector<Ewah> want;
+  for (int c = 0; c < 50; ++c) {
+    std::vector<std::size_t> ids;
+    std::size_t id = rng.NextBounded(3000);
+    const std::uint32_t count = rng.NextBounded(6);
+    for (std::uint32_t k = 0; k < count; ++k) {
+      ids.push_back(id);
+      id += 1 + rng.NextBounded(500);
+    }
+    Ewah ref;
+    for (std::size_t i : ids) ref.Set(i);
+    want.push_back(ref);
+    pool.Append([&](EwahIdEncoder& enc) {
+      for (std::size_t i : ids) enc.Add(i);
+    });
+  }
+  pool.ShrinkToFit();
+  ASSERT_EQ(pool.size(), want.size());
+  std::size_t words = 0;
+  for (std::size_t c = 0; c < pool.size(); ++c) {
+    EXPECT_EQ(WordsOf(pool[c]), WordsOf(want[c].view())) << "slot " << c;
+    EXPECT_EQ(pool[c].Count(), want[c].Count());
+    EXPECT_TRUE(Ewah(pool[c]) == want[c]);
+    words += pool[c].NumWords();
+  }
+  EXPECT_EQ(pool.words().size(), words);
+  EXPECT_GE(pool.HeapBytes(), words * 8);
+}
+
 TEST(EwahStatsTest, CompressionStatsAggregate) {
   BitsetCompressionStats stats;
   Ewah sparse;
@@ -312,6 +474,18 @@ TEST(EwahStatsTest, CompressionStatsAggregate) {
   stats.Merge(other);
   EXPECT_EQ(stats.num_bitsets, 2u);
   EXPECT_FALSE(stats.ToString().empty());
+
+  // A singleton tallies exactly what its encoding would add.
+  for (std::size_t id : {0, 63, 64, 5000, 123456}) {
+    Ewah one;
+    one.Set(id);
+    BitsetCompressionStats encoded, tallied;
+    encoded.Add(one);
+    tallied.AddSingleton(id);
+    EXPECT_EQ(tallied.num_bitsets, encoded.num_bitsets);
+    EXPECT_EQ(tallied.compressed_bytes, encoded.compressed_bytes) << id;
+    EXPECT_EQ(tallied.uncompressed_bytes, encoded.uncompressed_bytes) << id;
+  }
 }
 
 }  // namespace
