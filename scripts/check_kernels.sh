@@ -9,10 +9,12 @@ set -eu
 PREFIX=${1:-build-check}
 SRC=$(cd "$(dirname "$0")/.." && pwd)
 # The tests that exercise the kernels and everything routed through them,
-# plus the bitset codec and the pooled cell views of shared cached grids.
+# plus the bitset codec, the pooled cell views of shared cached grids and
+# exact scoring with and without a top-k threshold.
 TESTS="kernels_test geo_test kdtree_test bigrid_test baseline_test \
   mio_engine_test fuzz_differential_test parallel_test obs_test \
-  ewah_test plain_bitset_test golden_counters_test grid_reuse_test"
+  ewah_test plain_bitset_test golden_counters_test grid_reuse_test \
+  bounds_test"
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 build() { # build <dir> <extra cmake flags...>

@@ -10,23 +10,6 @@ void PlainBitset::Resize(std::size_t bits) {
   words_.resize((bits + 63) / 64, 0);
 }
 
-void PlainBitset::EnsureWord(std::size_t word_idx) {
-  if (word_idx >= words_.size()) {
-    words_.resize(word_idx + 1, 0);
-  }
-}
-
-void PlainBitset::Set(std::size_t i) {
-  EnsureWord(i / 64);
-  words_[i / 64] |= (std::uint64_t(1) << (i % 64));
-  size_in_bits_ = std::max(size_in_bits_, i + 1);
-}
-
-void PlainBitset::Clear(std::size_t i) {
-  if (i / 64 >= words_.size()) return;
-  words_[i / 64] &= ~(std::uint64_t(1) << (i % 64));
-}
-
 std::size_t PlainBitset::Count() const {
   std::size_t c = 0;
   for (std::uint64_t w : words_) c += __builtin_popcountll(w);

@@ -24,10 +24,18 @@ class PlainBitset {
   /// Number of logical bits.
   std::size_t SizeInBits() const { return size_in_bits_; }
 
-  /// Sets bit i (grows if needed).
-  void Set(std::size_t i);
+  /// Sets bit i (grows if needed). Inline, like Clear and Test:
+  /// verification sets one bit per confirmed partner.
+  void Set(std::size_t i) {
+    EnsureWord(i / 64);
+    words_[i / 64] |= (std::uint64_t(1) << (i % 64));
+    size_in_bits_ = std::max(size_in_bits_, i + 1);
+  }
   /// Clears bit i (no-op past the end).
-  void Clear(std::size_t i);
+  void Clear(std::size_t i) {
+    if (i / 64 >= words_.size()) return;
+    words_[i / 64] &= ~(std::uint64_t(1) << (i % 64));
+  }
   /// Tests bit i (false past the end). Inline: verification tests one
   /// bit per visited posting run.
   bool Test(std::size_t i) const {
@@ -85,7 +93,9 @@ class PlainBitset {
   bool operator==(const PlainBitset& other) const;
 
  private:
-  void EnsureWord(std::size_t word_idx);
+  void EnsureWord(std::size_t word_idx) {
+    if (word_idx >= words_.size()) words_.resize(word_idx + 1, 0);
+  }
 
   std::vector<std::uint64_t> words_;
   std::size_t size_in_bits_ = 0;

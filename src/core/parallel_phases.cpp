@@ -474,7 +474,7 @@ std::uint32_t ParallelExactScore(BiGrid& grid, ObjectId i, int threads,
     acc = seed;
     PlainBitset local_scratch;  // per-core candidate-set scratch
     PlainBitset& b_scratch =
-        arena != nullptr ? arena->slots[static_cast<std::size_t>(t)].scratch
+        arena != nullptr ? arena->slots[static_cast<std::size_t>(t)].b
                          : local_scratch;
     std::size_t done = 0;
     for (const auto& [g, j] : tasks[t]) {

@@ -100,6 +100,9 @@ struct QueryStats {
   /// Posting runs whose object bit verification tested; with the
   /// posting_scans counter it gives the visit/scan ratio.
   std::size_t postings_visited = 0;
+  /// Verified candidates whose exact score was abandoned once they could
+  /// no longer enter the top-k (counted in num_verified too).
+  std::size_t verify_abandoned = 0;
   std::size_t cells_small = 0;
   std::size_t cells_large = 0;
   std::size_t points_pruned_by_labels = 0;

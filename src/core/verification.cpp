@@ -176,17 +176,20 @@ void VerifyPoint(BiGrid& grid, ObjectId i, std::size_t point_idx,
 std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
                          LabelSet* record_labels, const Ewah* lb_bitset,
                          VerifyWork* work, bool use_verify_bit,
-                         PlainBitset* b_scratch, QueryGuard* guard,
-                         PlainBitset* acc_scratch) {
+                         VerifyScratch* scratch, QueryGuard* guard,
+                         long long threshold) {
   const Object& o = grid.objects()[i];
+  VerifyScratch local_scratch;
+  VerifyScratch& s = scratch != nullptr ? *scratch : local_scratch;
+  const std::size_t n = grid.objects().size();
 
   // b(o_i): confirmed interaction partners (plus bit i). With labels it is
   // seeded from the lower-bound union — those objects are certain partners
   // (Lemma 1), so no posting scan needs to rediscover them. The seed fully
-  // overwrites `acc_scratch` (DecodeInto resets first), so arena reuse
-  // across candidates is safe.
-  PlainBitset local_acc;
-  PlainBitset& acc = acc_scratch != nullptr ? *acc_scratch : local_acc;
+  // overwrites the accumulator (DecodeInto resets first), so reuse across
+  // candidates is safe. Sized to n once, Set never regrows it.
+  PlainBitset& acc = s.acc;
+  acc.Resize(n);
   if (lb_bitset != nullptr) {
     lb_bitset->DecodeInto(&acc);
   } else {
@@ -194,23 +197,78 @@ std::uint32_t ExactScore(BiGrid& grid, ObjectId i, const LabelSet* use_labels,
   }
   acc.Set(i);
 
-  PlainBitset local_scratch;
-  if (b_scratch == nullptr) b_scratch = &local_scratch;
+  // VERIFICATION-WITH-LABEL iterates only points labelled 1*1. The kVerify
+  // bit is honoured only at the recorded radius (see labels.hpp); kMap
+  // must always be honoured — pruned points were never mapped into the
+  // grid.
+  auto processed = [&](std::size_t j) {
+    if (use_labels == nullptr) return true;
+    const std::uint8_t l = use_labels->Get(i, j);
+    if ((l & label::kMap) == 0) return false;
+    return !use_verify_bit || (l & label::kVerify) != 0;
+  };
+
+  // Abandonment (Corollary 1 inside the candidate): `live` tracks
+  // |acc ∪ R_j| exactly, R_j being the union of b_adj over the processed
+  // points from j on. Every bit VerifyPoint adds lies in R_j, so the score
+  // can never exceed live - 1. The drop lists are built walking the points
+  // backwards; that ensures b_adj for every point full scoring would
+  // visit, and no other.
+  const bool can_abandon = threshold >= 0;
+  std::size_t live = 0;
+  std::size_t list = 0;  // drop lists not yet consumed
+  if (can_abandon) {
+    const std::size_t words = (n + 63) / 64;
+    if (s.reach.size() < words) s.reach.resize(words, 0);
+    s.drops.clear();
+    s.drop_bounds.assign(1, 0);
+    std::uint32_t last_cell = kNoCell;
+    for (std::size_t j = o.points.size(); j-- > 0;) {
+      if (!processed(j)) continue;
+      const std::uint32_t cell = grid.LargeCellOf(i, j);
+      const CellAdj& adj = grid.EnsureAdj(cell);
+      if (cell != last_cell) {  // a repeated cell adds nothing new to R
+        adj.bits.ForEachNonZeroWord([&](std::size_t w, std::uint64_t v) {
+          const std::uint64_t fresh = v & ~s.reach[w];
+          if (fresh == 0) return;
+          s.reach[w] |= fresh;
+          s.drops.push_back({static_cast<std::uint32_t>(w), fresh});
+        });
+        last_cell = cell;
+      }
+      s.drop_bounds.push_back(static_cast<std::uint32_t>(s.drops.size()));
+    }
+    // |acc ∪ R_0|, leaving `reach` all zero again.
+    const std::uint64_t* acc_words = acc.words().data();
+    live = acc.Count();
+    for (const DropWord& d : s.drops) {
+      live += static_cast<std::size_t>(
+          __builtin_popcountll(d.bits & ~acc_words[d.word]));
+      s.reach[d.word] = 0;
+    }
+    list = s.drop_bounds.size() - 1;
+  }
 
   for (std::size_t j = 0; j < o.points.size(); ++j) {
     if (guard != nullptr && (j % kGuardStridePoints) == 0 && guard->Poll()) {
       break;  // partial score: the caller must discard it
     }
-    if (use_labels != nullptr) {
-      std::uint8_t l = use_labels->Get(i, j);
-      // VERIFICATION-WITH-LABEL iterates only points labelled 1*1. The
-      // kVerify bit is honoured only at the recorded radius (see
-      // labels.hpp); kMap must always be honoured — pruned points were
-      // never mapped into the grid.
-      if ((l & label::kMap) == 0) continue;
-      if (use_verify_bit && (l & label::kVerify) == 0) continue;
+    if (!processed(j)) continue;
+    if (can_abandon && static_cast<long long>(live) - 1 <= threshold) {
+      if (work != nullptr) ++work->abandoned;
+      return static_cast<std::uint32_t>(live - 1);
     }
-    VerifyPoint(grid, i, j, &acc, b_scratch, record_labels, work);
+    VerifyPoint(grid, i, j, &acc, &s.b, record_labels, work);
+    if (can_abandon) {
+      // R_j -> R_{j+1}: drop this point's last-seen bits unless confirmed.
+      --list;
+      const std::uint64_t* acc_words = acc.words().data();
+      for (std::uint32_t d = s.drop_bounds[list]; d < s.drop_bounds[list + 1];
+           ++d) {
+        live -= static_cast<std::size_t>(__builtin_popcountll(
+            s.drops[d].bits & ~acc_words[s.drops[d].word]));
+      }
+    }
   }
 
   std::size_t count = acc.Count();
@@ -233,9 +291,8 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
                                        VerifyArena* arena) {
   TopKTracker tracker(k);
   VerifyWork work;
-  PlainBitset local_scratch;  // reused across every verified point
-  PlainBitset* b_scratch = arena != nullptr ? &arena->scratch : &local_scratch;
-  PlainBitset* acc_scratch = arena != nullptr ? &arena->acc : nullptr;
+  VerifyScratch local_scratch;  // reused across every candidate
+  VerifyScratch* scratch = arena != nullptr ? &arena->serial : &local_scratch;
   for (ObjectId i : ub.candidates) {
     // Early termination (Corollary 1): the queue is sorted by descending
     // upper bound, so once the front cannot beat the k-th best exact
@@ -245,16 +302,22 @@ std::vector<ScoredObject> Verification(BiGrid& grid,
     MIO_TRACE_SPAN_CAT("verify.candidate", "verify");
     const Ewah* lb =
         lb_bitsets != nullptr ? &(*lb_bitsets)[i] : nullptr;
+    // A recording query scores in full: its Labeling-3 output must not
+    // depend on the threshold.
+    const long long threshold =
+        record_labels != nullptr ? -1 : tracker.Threshold();
+    const std::size_t abandoned = work.abandoned;
     std::uint32_t score =
         ExactScore(grid, i, use_labels, record_labels, lb, &work,
-                   use_verify_bit, b_scratch, guard, acc_scratch);
+                   use_verify_bit, scratch, guard, threshold);
     if (guard != nullptr && guard->tripped()) break;  // partial: discard
     if (stats != nullptr) ++stats->num_verified;
-    tracker.Offer(i, score);
+    if (work.abandoned == abandoned) tracker.Offer(i, score);
   }
   if (stats != nullptr) {
     stats->distance_computations += work.distance_computations;
     stats->postings_visited += work.postings_visited;
+    stats->verify_abandoned += work.abandoned;
   }
   return tracker.Sorted();
 }

@@ -424,6 +424,7 @@ std::string QlogRecordToJsonLine(const QlogRecord& rec) {
   w.Key("verified").UInt(rec.verified);
   w.Key("distance_computations").UInt(rec.distance_computations);
   w.Key("postings_visited").UInt(rec.postings_visited);
+  w.Key("verify_abandoned").UInt(rec.verify_abandoned);
   w.EndObject();
   w.Key("winner").BeginObject();
   w.Key("id").UInt(rec.winner_id);
@@ -552,6 +553,7 @@ Status ParseQlogRecord(std::string_view line, QlogRecord* out) {
   rec.verified = funnel->GetUInt("verified");
   rec.distance_computations = funnel->GetUInt("distance_computations");
   rec.postings_visited = funnel->GetUInt("postings_visited");
+  rec.verify_abandoned = funnel->GetUInt("verify_abandoned");
   const JsonValue* winner = doc.Find("winner");
   rec.winner_id = winner->GetUInt("id");
   rec.winner_score = winner->GetUInt("score");

@@ -74,6 +74,9 @@ struct QlogRecord {
   /// Posting runs verification tested (optional on read: records written
   /// before the field existed parse with 0).
   std::uint64_t postings_visited = 0;
+  /// Verified candidates abandoned once they could not enter the top-k
+  /// (optional on read, like postings_visited).
+  std::uint64_t verify_abandoned = 0;
   std::uint64_t winner_id = 0;
   std::uint64_t winner_score = 0;
 

@@ -35,6 +35,7 @@ QlogRecord QlogRecordFromResult(QlogRecord rec, const QueryResult& result,
   rec.verified = s.num_verified;
   rec.distance_computations = s.distance_computations;
   rec.postings_visited = s.postings_visited;
+  rec.verify_abandoned = s.verify_abandoned;
   if (!result.topk.empty()) {
     rec.winner_id = result.best().id;
     rec.winner_score = result.best().score;

@@ -86,6 +86,52 @@ TEST_P(BoundsTest, ExactScoreMatchesOracleForAllCandidates) {
   (void)ub;
 }
 
+// With a threshold, ExactScore may stop early — but only for a candidate
+// that cannot score above it. One scratch serves every call, as in
+// Verification, so stale state between candidates would show here.
+TEST_P(BoundsTest, ExactScoreAbandonsOnlyAtOrBelowTheThreshold) {
+  const BoundsCase& c = GetParam();
+  ObjectSet set = testing::MakeRandomObjects(c.n, c.m_min, c.m_max, c.domain,
+                                             c.seed, c.cluster_sigma);
+  std::vector<std::uint32_t> exact = testing::OracleScores(set, c.r);
+
+  BiGrid grid(set, c.r);
+  grid.Build();
+  VerifyScratch scratch;
+  std::size_t abandoned = 0;
+  for (ObjectId i = 0; i < set.size(); ++i) {
+    VerifyWork full;
+    EXPECT_EQ(ExactScore(grid, i, nullptr, nullptr, nullptr, &full, true,
+                         &scratch),
+              exact[i])
+        << "object " << i;
+    EXPECT_EQ(full.abandoned, 0u) << "object " << i;
+
+    for (long long threshold :
+         {static_cast<long long>(exact[i]) - 1,
+          static_cast<long long>(exact[i]),
+          static_cast<long long>(exact[i]) + 5}) {
+      VerifyWork work;
+      const std::uint32_t got = ExactScore(grid, i, nullptr, nullptr, nullptr,
+                                           &work, true, &scratch, nullptr,
+                                           threshold);
+      if (static_cast<long long>(exact[i]) > threshold) {
+        EXPECT_EQ(got, exact[i]) << "object " << i << " t=" << threshold;
+        EXPECT_EQ(work.abandoned, 0u) << "object " << i << " t=" << threshold;
+      } else if (work.abandoned > 0) {
+        // The returned bound lies between the exact score and threshold.
+        EXPECT_GE(got, exact[i]) << "object " << i << " t=" << threshold;
+        EXPECT_LE(static_cast<long long>(got), threshold)
+            << "object " << i << " t=" << threshold;
+      } else {
+        EXPECT_EQ(got, exact[i]) << "object " << i << " t=" << threshold;
+      }
+      abandoned += work.abandoned;
+    }
+  }
+  EXPECT_GT(abandoned, 0u) << "the threshold path never abandoned";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BoundsTest,
     ::testing::Values(

@@ -8,13 +8,23 @@
 // exactly on cell boundaries at integer r, every point in one hub cell
 // (the octant layout), duplicate points, r <= 1, and planar data — each
 // checked against the oracle under sequential Query and QueryBatch.
+//
+// The verification differential runs the tie-heavy layouts (duplicate
+// points, one hub cell) through Verification, which abandons candidates
+// that cannot enter the top-k, and through a reference loop that scores
+// every candidate in full: the top-k must agree id for id.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/bigrid.hpp"
+#include "core/labels.hpp"
+#include "core/lower_bound.hpp"
 #include "core/mio_engine.hpp"
+#include "core/upper_bound.hpp"
+#include "core/verification.hpp"
 #include "test_utils.hpp"
 
 namespace mio {
@@ -234,6 +244,111 @@ INSTANTIATE_TEST_SUITE_P(
                                          Shape::kPlanar),
                        ::testing::Range<std::uint64_t>(1, 7)),
     [](const ::testing::TestParamInfo<AdversarialFuzzTest::ParamType>& info) {
+      return std::string(ShapeName(std::get<0>(info.param))) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+/// Parent-style best-first verification: every candidate the queue bound
+/// lets through is scored in full (ExactScore without a threshold).
+std::vector<ScoredObject> ReferenceVerification(
+    BiGrid& grid, const UpperBoundResult& ub, std::size_t k,
+    const LabelSet* use_labels, LabelSet* record_labels,
+    const std::vector<Ewah>* lb_bitsets, std::size_t* verified) {
+  TopKTracker tracker(k);
+  for (ObjectId i : ub.candidates) {
+    if (static_cast<long long>(ub.tau_upp[i]) <= tracker.Threshold()) break;
+    const Ewah* lb = lb_bitsets != nullptr ? &(*lb_bitsets)[i] : nullptr;
+    tracker.Offer(i, ExactScore(grid, i, use_labels, record_labels, lb,
+                                nullptr));
+    ++*verified;
+  }
+  return tracker.Sorted();
+}
+
+class VerificationDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<Shape, std::uint64_t>> {};
+
+TEST_P(VerificationDifferentialTest, AbandoningMatchesFullScoring) {
+  const auto [shape, seed] = GetParam();
+  Pcg32 rng(seed, 0x76657266ULL);  // "verf"
+  const ObjectSet set = MakeAdversarial(shape, rng);
+  const std::vector<double> radii = {
+      0.05 + rng.NextDouble() * 0.95, 1.0,
+      static_cast<double>(2 + rng.NextBounded(3)),
+      0.5 + rng.NextDouble() * 6.0};
+  std::size_t abandoned = 0;
+  for (double r : radii) {
+    // Recording query (k = 1): scored in full, so the labels it leaves
+    // match the reference loop's byte for byte.
+    LabelSet labels = LabelSet::MakeAllOnes(set);
+    labels.recorded_r = r;
+    {
+      BiGrid grid(set, r);
+      grid.Build();
+      const LowerBoundResult lb = LowerBounding(grid, false);
+      const UpperBoundResult ub =
+          UpperBounding(grid, lb.tau_low_max, nullptr, &labels, nullptr);
+      LabelSet ref_labels = labels;
+      std::size_t ref_verified = 0;
+      const std::vector<ScoredObject> want = ReferenceVerification(
+          grid, ub, 1, nullptr, &ref_labels, nullptr, &ref_verified);
+      QueryStats stats;
+      const std::vector<ScoredObject> got =
+          Verification(grid, ub, 1, nullptr, &labels, nullptr, &stats);
+      ASSERT_EQ(got.size(), want.size()) << "record r=" << r;
+      for (std::size_t idx = 0; idx < want.size(); ++idx) {
+        EXPECT_EQ(got[idx].id, want[idx].id) << "record r=" << r;
+      }
+      EXPECT_EQ(stats.verify_abandoned, 0u) << "record r=" << r;
+      EXPECT_TRUE(labels.labels == ref_labels.labels) << "record r=" << r;
+    }
+
+    for (const bool replay : {false, true}) {
+      BiGrid grid(set, r);
+      grid.Build(1, replay ? &labels : nullptr);
+      const LabelSet* use_labels = replay ? &labels : nullptr;
+      const LowerBoundResult lb = LowerBounding(grid, replay);
+      const std::vector<Ewah>* lb_bits = replay ? &lb.lb_bitsets : nullptr;
+      for (std::size_t k : {1, 2, 3, 5, 10}) {
+        const std::string where = std::string(ShapeName(shape)) +
+                                  " seed=" + std::to_string(seed) +
+                                  " r=" + std::to_string(r) +
+                                  " replay=" + std::to_string(replay) +
+                                  " k=" + std::to_string(k);
+        const std::uint32_t threshold =
+            k == 1 ? lb.tau_low_max : lb.KthLargest(k);
+        const UpperBoundResult ub =
+            UpperBounding(grid, threshold, use_labels, nullptr, nullptr);
+        std::size_t ref_verified = 0;
+        const std::vector<ScoredObject> want = ReferenceVerification(
+            grid, ub, k, use_labels, nullptr, lb_bits, &ref_verified);
+        QueryStats stats;
+        const std::vector<ScoredObject> got = Verification(
+            grid, ub, k, use_labels, nullptr, lb_bits, &stats);
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (std::size_t idx = 0; idx < want.size(); ++idx) {
+          EXPECT_EQ(got[idx].id, want[idx].id) << where << " pos=" << idx;
+          EXPECT_EQ(got[idx].score, want[idx].score)
+              << where << " pos=" << idx;
+        }
+        EXPECT_EQ(stats.num_verified, ref_verified) << where;
+        abandoned += stats.verify_abandoned;
+      }
+    }
+  }
+  // The hub is one cell: R_j covers it until the last point, so no bound
+  // falls early there. Duplicates spread over many cells and must abandon.
+  if (shape == Shape::kDuplicates) {
+    EXPECT_GT(abandoned, 0u) << "no candidate was ever abandoned";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TieHeavy, VerificationDifferentialTest,
+    ::testing::Combine(::testing::Values(Shape::kHub, Shape::kDuplicates),
+                       ::testing::Range<std::uint64_t>(1, 9)),
+    [](const ::testing::TestParamInfo<
+        VerificationDifferentialTest::ParamType>& info) {
       return std::string(ShapeName(std::get<0>(info.param))) + "_" +
              std::to_string(std::get<1>(info.param));
     });

@@ -64,6 +64,7 @@ QlogRecord MakeFullRecord() {
   rec.verified = 54;
   rec.distance_computations = 987654;
   rec.postings_visited = 4321;
+  rec.verify_abandoned = 37;
   rec.winner_id = 17;
   rec.winner_score = 290;
   rec.label_outcome = "hit_disk";
@@ -100,6 +101,21 @@ TEST(QlogRecord, RecordsWithoutPostingsVisitedStillParse) {
   EXPECT_EQ(back.distance_computations, rec.distance_computations);
 }
 
+TEST(QlogRecord, RecordsWithoutVerifyAbandonedStillParse) {
+  // verify_abandoned joined the funnel after postings_visited.
+  QlogRecord rec = MakeFullRecord();
+  std::string line = QlogRecordToJsonLine(rec);
+  const std::string field = ",\"verify_abandoned\":37";
+  const std::size_t at = line.find(field);
+  ASSERT_NE(at, std::string::npos);
+  line.erase(at, field.size());
+  ASSERT_TRUE(ValidateQlogLine(line).ok());
+  QlogRecord back;
+  ASSERT_TRUE(ParseQlogRecord(line, &back).ok());
+  EXPECT_EQ(back.verify_abandoned, 0u);
+  EXPECT_EQ(back.postings_visited, rec.postings_visited);
+}
+
 TEST(QlogRecord, RoundTripsEveryField) {
   QlogRecord rec = MakeFullRecord();
   std::string line = QlogRecordToJsonLine(rec);
@@ -128,6 +144,7 @@ TEST(QlogRecord, RoundTripsEveryField) {
   EXPECT_EQ(back.verified, rec.verified);
   EXPECT_EQ(back.distance_computations, rec.distance_computations);
   EXPECT_EQ(back.postings_visited, rec.postings_visited);
+  EXPECT_EQ(back.verify_abandoned, rec.verify_abandoned);
   EXPECT_EQ(back.winner_id, rec.winner_id);
   EXPECT_EQ(back.winner_score, rec.winner_score);
   EXPECT_EQ(back.label_outcome, rec.label_outcome);

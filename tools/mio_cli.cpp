@@ -730,11 +730,13 @@ int CmdExplain(const mio::ArgParser& args) {
               "candidate queue)\n",
               st.num_candidates, pct(st.num_candidates, n));
   std::printf("  verified exactly      %12zu  (%.2f%% of candidates; %zu "
-              "early-terminated by the queue bound)\n",
+              "early-terminated by the queue bound; %zu abandoned once they "
+              "could not enter the top-k)\n",
               st.num_verified, pct(st.num_verified, st.num_candidates),
               st.num_candidates > st.num_verified
                   ? st.num_candidates - st.num_verified
-                  : 0);
+                  : 0,
+              st.verify_abandoned);
   if (!res.topk.empty()) {
     std::printf("  winner                object %u  tau=%u\n", res.best().id,
                 res.best().score);
