@@ -18,7 +18,7 @@ double MbrEmptinessFraction(const ObjectSet& objects, double r) {
   if (objects.empty() || r <= 0.0) return 0.0;
   double sum = 0.0;
   std::size_t counted = 0;
-  for (const Object& o : objects.objects()) {
+  for (const Object& o : objects) {
     if (o.points.empty()) continue;
     Aabb box;
     std::unordered_set<CellKey, CellKeyHash> occupied;

@@ -39,11 +39,11 @@ struct SmallEntry {
   ObjectId obj;
 };
 
-/// A mapped point awaiting its large cell (j = index within the object).
+/// A mapped point awaiting its large cell (pt = its index in the store).
 struct LargeEntry {
   CellKey key;
   ObjectId obj;
-  std::uint32_t j;
+  std::uint32_t pt;
 };
 
 /// Order-preserving unsigned image of a lattice coordinate.
@@ -242,73 +242,97 @@ void FillSmallGrid(const std::vector<SmallEntry>& sorted, std::size_t n,
   }
 }
 
-/// The large grid from entries sorted by key (g->point_base already set):
-/// cell bitsets, the CSR posting store, every point's cell index, and the
-/// neighbour table. A cell with at least kOctantMinPoints points first has
-/// its entries stably counting-sorted by octant, so its runs stay
-/// ascending by object id within every octant, and gets its run directory
-/// and tight octant boxes.
-void FillLargeGrid(std::vector<LargeEntry>* entries, const ObjectSet& objs,
-                   LargeGridData* g) {
+/// The large grid from entries sorted by key: cell bitsets, the CSR
+/// posting store, every point's cell index, and the neighbour table. A
+/// cell with at least kOctantMinPoints points first has its entries stably
+/// counting-sorted by octant, so its runs stay ascending by object id
+/// within every octant, and gets its run directory and tight octant boxes.
+///
+/// Two passes: the first encodes the cell bitsets, computes each point's
+/// octant once, reorders the octant cells and counts cells, runs and
+/// octant cells; the second fills arrays sized from those counts.
+void FillLargeGrid(std::vector<LargeEntry>* entries,
+                   std::span<const Point> points, LargeGridData* g) {
   std::vector<LargeEntry>& sorted = *entries;
   const std::size_t n = sorted.size();
   const double w = g->width;
-  auto point_of = [&](const LargeEntry& e) -> const Point& {
-    return objs[e.obj].points[e.j];
-  };
+
+  std::vector<std::uint8_t> oct(n, 0);  // octant of each entry
+  std::size_t num_cells = 0, num_runs = 0, num_blocks = 0;
+  {
+    std::vector<LargeEntry> reorder;
+    for (std::size_t s = 0, e = 0; s < n; s = e) {
+      e = KeyRunEnd(sorted, s);
+      ++num_cells;
+      // Encoded before the octant reorder, while object ids ascend.
+      g->bits.Append([&](EwahIdEncoder& enc) {
+        for (std::size_t k = s; k < e; ++k) enc.Add(sorted[k].obj);
+      });
+      if (e - s >= kOctantMinPoints) {
+        ++num_blocks;
+        const CellKey key = sorted[s].key;
+        std::array<std::size_t, 9> start{};
+        for (std::size_t k = s; k < e; ++k) {
+          oct[k] = static_cast<std::uint8_t>(
+              OctantOf(points[sorted[k].pt], key, w));
+          ++start[oct[k] + 1];
+        }
+        for (int o = 0; o < 8; ++o) start[o + 1] += start[o];
+        reorder.resize(e - s);
+        for (std::size_t k = s; k < e; ++k) {
+          reorder[start[oct[k]]++] = sorted[k];
+        }
+        std::copy(reorder.begin(), reorder.end(), sorted.begin() + s);
+        // The octants are now ascending, each filling its counted span.
+        for (std::size_t o = 0, k = s; o < 8; ++o) {
+          for (; k < s + start[o]; ++k) oct[k] = static_cast<std::uint8_t>(o);
+        }
+      }
+      for (std::size_t k = s; k < e; ++k) {
+        if (k == s || sorted[k].obj != sorted[k - 1].obj ||
+            oct[k] != oct[k - 1]) {
+          ++num_runs;
+        }
+      }
+    }
+  }
+
+  g->keys.resize(num_cells);
+  g->cell_runs.resize(num_cells + 1);
+  g->run_obj.resize(num_runs);
+  g->run_start.resize(num_runs + 1);
   g->xs.resize(n);
   g->ys.resize(n);
   g->zs.resize(n);
-  g->point_cell.assign(g->point_base.back(), kNoCell);
-  std::vector<LargeEntry> reorder;
-  for (std::size_t s = 0, e = 0; s < n; s = e) {
+  g->cell_octants.resize(num_cells);
+  g->oct_runs.resize(num_blocks * 9);
+  g->oct_box.resize(num_blocks * 48);
+  g->point_cell.assign(points.size(), kNoCell);
+  std::size_t c = 0, q = 0, block = 0;
+  for (std::size_t s = 0, e = 0; s < n; s = e, ++c) {
     e = KeyRunEnd(sorted, s);
-    const CellKey key = sorted[s].key;
-    const auto c = static_cast<std::uint32_t>(g->keys.size());
-    g->keys.push_back(key);
-    g->bits.Append([&](EwahIdEncoder& enc) {
-      for (std::size_t k = s; k < e; ++k) enc.Add(sorted[k].obj);
-    });
-    g->cell_runs.push_back(static_cast<std::uint32_t>(g->run_obj.size()));
-
+    g->keys[c] = sorted[s].key;
+    g->cell_runs[c] = static_cast<std::uint32_t>(q);
     const bool octants = e - s >= kOctantMinPoints;
-    std::size_t block = 0;
-    if (octants) {
-      std::array<std::size_t, 9> start{};
-      for (std::size_t k = s; k < e; ++k) {
-        ++start[OctantOf(point_of(sorted[k]), key, w) + 1];
-      }
-      for (int o = 0; o < 8; ++o) start[o + 1] += start[o];
-      reorder.resize(e - s);
-      for (std::size_t k = s; k < e; ++k) {
-        reorder[start[OctantOf(point_of(sorted[k]), key, w)]++] = sorted[k];
-      }
-      std::copy(reorder.begin(), reorder.end(), sorted.begin() + s);
-      block = g->NumOctantCells();
-      g->cell_octants.push_back(static_cast<std::uint32_t>(block));
-      g->oct_runs.resize(g->oct_runs.size() + 9);
-      g->oct_box.resize(g->oct_box.size() + 48, 0.0);
-    } else {
-      g->cell_octants.push_back(kNoCell);
-    }
+    g->cell_octants[c] = octants ? static_cast<std::uint32_t>(block) : kNoCell;
 
     int prev_oct = -1;
     for (std::size_t k = s; k < e; ++k) {
       const LargeEntry& en = sorted[k];
-      const Point& p = point_of(en);
-      const int o = octants ? OctantOf(p, key, w) : 0;
+      const Point& p = points[en.pt];
+      const int o = oct[k];
       if (k == s || en.obj != sorted[k - 1].obj || o != prev_oct) {
-        const auto q = static_cast<std::uint32_t>(g->run_obj.size());
-        g->run_obj.push_back(en.obj);
-        g->run_start.push_back(static_cast<std::uint32_t>(k));
         for (int oo = prev_oct + 1; octants && oo <= o; ++oo) {
-          g->oct_runs[block * 9 + static_cast<std::size_t>(oo)] = q;
+          g->oct_runs[block * 9 + static_cast<std::size_t>(oo)] =
+              static_cast<std::uint32_t>(q);
         }
+        g->run_obj[q] = en.obj;
+        g->run_start[q++] = static_cast<std::uint32_t>(k);
       }
       g->xs[k] = p.x;
       g->ys[k] = p.y;
       g->zs[k] = p.z;
-      g->point_cell[g->point_base[en.obj] + en.j] = c;
+      g->point_cell[en.pt] = static_cast<std::uint32_t>(c);
       if (octants) {
         double* box = &g->oct_box[block * 48 + static_cast<std::size_t>(o) * 6];
         if (o != prev_oct) {
@@ -326,22 +350,17 @@ void FillLargeGrid(std::vector<LargeEntry>* entries, const ObjectSet& objs,
       }
       prev_oct = o;
     }
-    for (int oo = prev_oct + 1; octants && oo <= 8; ++oo) {
-      g->oct_runs[block * 9 + static_cast<std::size_t>(oo)] =
-          static_cast<std::uint32_t>(g->run_obj.size());
+    if (octants) {
+      for (int oo = prev_oct + 1; oo <= 8; ++oo) {
+        g->oct_runs[block * 9 + static_cast<std::size_t>(oo)] =
+            static_cast<std::uint32_t>(q);
+      }
+      ++block;
     }
   }
-  g->cell_runs.push_back(static_cast<std::uint32_t>(g->run_obj.size()));
-  g->run_start.push_back(static_cast<std::uint32_t>(n));
-  // Sizes were unknown up front; return the growth slack.
-  g->keys.shrink_to_fit();
-  g->bits.ShrinkToFit();
-  g->cell_runs.shrink_to_fit();
-  g->run_obj.shrink_to_fit();
-  g->run_start.shrink_to_fit();
-  g->cell_octants.shrink_to_fit();
-  g->oct_runs.shrink_to_fit();
-  g->oct_box.shrink_to_fit();
+  g->cell_runs[num_cells] = static_cast<std::uint32_t>(q);
+  g->run_start[num_runs] = static_cast<std::uint32_t>(n);
+  g->bits.ShrinkToFit();  // word counts are known only once encoded
 
   JoinNeighbours(g->keys, &g->nbr_begin, &g->nbr);
   g->adj = std::vector<CellAdj>(g->keys.size());
@@ -401,27 +420,26 @@ void BiGrid::Build(int threads, const LabelSet* labels, bool build_groups,
   LargeGridData& g = *large_;
   small_.key_list_begin.assign(n + 1, 0);
 
-  // Offsets of every object's points (all of them, for the per-point cell
-  // index) and of its mapped points (the entry arrays).
+  // Offsets of every object's mapped points in the entry arrays. The
+  // per-point cell index needs none: it is addressed like the store.
   auto mapped = [&](ObjectId i, std::size_t j) {
     return labels == nullptr || (labels->Get(i, j) & label::kMap) != 0;
   };
-  std::vector<std::uint32_t> point_base(n + 1, 0);
-  std::vector<std::uint32_t> entry_base(n + 1, 0);
+  std::vector<std::size_t> entry_base(n + 1, 0);
   for (ObjectId i = 0; i < n; ++i) {
-    const std::size_t m = objs[i].points.size();
+    const std::size_t m = objs.Offset(i + 1) - objs.Offset(i);
     std::size_t kept = m;
     if (labels != nullptr) {
       kept = 0;
       for (std::size_t j = 0; j < m; ++j) kept += mapped(i, j) ? 1 : 0;
     }
-    point_base[i + 1] = point_base[i] + static_cast<std::uint32_t>(m);
-    entry_base[i + 1] = entry_base[i] + static_cast<std::uint32_t>(kept);
+    entry_base[i + 1] = entry_base[i] + kept;
   }
   const std::size_t num_entries = entry_base[n];
 
   // Cell keys of every mapped point, object-parallel. Labeling-1 points
   // (cleared kMap) are skipped entirely (Lemma 3).
+  const std::span<const Point> points = objs.points();
   std::vector<SmallEntry> small(num_entries);
   std::vector<LargeEntry> large(build_large ? num_entries : 0);
   {
@@ -437,15 +455,16 @@ void BiGrid::Build(int threads, const LabelSet* labels, bool build_groups,
         }
         if (guard->tripped()) continue;  // workers drain at one load each
       }
-      const Object& o = objs[i];
+      const std::size_t base = objs.Offset(i);
+      const std::size_t end = objs.Offset(i + 1);
       std::size_t at = entry_base[i];
-      for (std::size_t j = 0; j < o.points.size(); ++j) {
-        if (!mapped(i, j)) continue;
-        const Point& p = o.points[j];
+      for (std::size_t pt = base; pt < end; ++pt) {
+        if (!mapped(i, pt - base)) continue;
+        const Point& p = points[pt];
         small[at] = SmallEntry{KeyForWidth(p, small_width_), i};
         if (build_large) {
           large[at] = LargeEntry{KeyForWidth(p, g.width), i,
-                                 static_cast<std::uint32_t>(j)};
+                                 static_cast<std::uint32_t>(pt)};
         }
         ++at;
       }
@@ -466,8 +485,7 @@ void BiGrid::Build(int threads, const LabelSet* labels, bool build_groups,
   if (build_large) {
     MIO_TRACE_SPAN_CAT("grid.map.large", "grid");
     SortByCellKey(&large, threads);
-    g.point_base = std::move(point_base);
-    FillLargeGrid(&large, objs, &g);
+    FillLargeGrid(&large, points, &g);
   }
 
   if (build_groups) BuildGroups(labels, threads);
@@ -496,7 +514,7 @@ void BiGrid::BuildGroups(const LabelSet* labels, int threads) {
               (group_labels->Get(i, j) & label::kMap) == 0) {
             continue;
           }
-          const std::uint32_t cell = g.point_cell[g.point_base[i] + j];
+          const std::uint32_t cell = g.point_cell[objects_->Offset(i) + j];
           std::uint32_t& s = slot[cell];
           if (s == kNoCell) {
             s = static_cast<std::uint32_t>(groups.size());
@@ -591,7 +609,7 @@ MemoryBreakdown BiGrid::MemoryUsage() const {
              VecBytes(g.run_start) + VecBytes(g.xs) + VecBytes(g.ys) +
              VecBytes(g.zs) + VecBytes(g.cell_octants) + VecBytes(g.oct_runs) +
              VecBytes(g.oct_box) + VecBytes(g.nbr_begin) + VecBytes(g.nbr) +
-             VecBytes(g.point_base) + VecBytes(g.point_cell) +
+             VecBytes(g.point_cell) +
              VecBytes(g.adj) +
              g.adj_heap_bytes.load(std::memory_order_relaxed));
 

@@ -168,9 +168,9 @@ struct LargeGridData {
   std::vector<std::uint32_t> nbr_begin;
   std::vector<std::uint32_t> nbr;
 
-  /// Large cell of every point: point (i, j) is entry point_base[i] + j;
-  /// kNoCell for points a labelled build skipped.
-  std::vector<std::uint32_t> point_base;
+  /// Large cell of every point, indexed like the ObjectSet's flat store
+  /// (point j of object i is entry Offset(i) + j); kNoCell for points a
+  /// labelled build skipped.
   std::vector<std::uint32_t> point_cell;
 
   std::vector<CellAdj> adj;  ///< lazily memoised b_adj, one per cell
@@ -280,7 +280,7 @@ class BiGrid {
   std::size_t NumLargeCells() const { return large_->NumCells(); }
   /// Large cell of point j of object i (kNoCell if the build skipped it).
   std::uint32_t LargeCellOf(ObjectId i, std::size_t j) const {
-    return large_->point_cell[large_->point_base[i] + j];
+    return large_->point_cell[objects_->Offset(i) + j];
   }
 
   /// Computes (memoises) b_adj of large cell c. Thread-safe, including

@@ -141,7 +141,7 @@ QueryResult MioEngine::RunPipeline(double r, const QueryOptions& options,
   const bool parallel = threads > 1;
   QueryStats& stats = res.stats;
   stats.threads = threads;
-  stats.total_points = objects_.Stats().nm;
+  stats.total_points = objects_.NumPoints();
 
   QueryGuard guard;
   guard.SetDeadline(options.deadline_ms);

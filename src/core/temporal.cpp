@@ -117,7 +117,7 @@ class TemporalBiGrid {
  private:
   void BuildTimeIndex() {
     std::map<double, std::int64_t> ids;
-    for (const Object& o : objects_.objects()) {
+    for (const Object& o : objects_) {
       for (double t : o.times) ids.emplace(t, 0);
     }
     std::int64_t next = 0;

@@ -41,6 +41,7 @@ struct Cone {
 ObjectSet MakeNeuronLike(const NeuronConfig& config) {
   Pcg32 rng(config.seed, 0x6e6575726f6eULL);  // "neuron"
   ObjectSet set;
+  std::vector<Point> points;  // the object being grown
 
   // Cluster centres: the spatial skew knob.
   std::vector<Point> clusters;
@@ -64,9 +65,8 @@ ObjectSet MakeNeuronLike(const NeuronConfig& config) {
                                  (rng.NextDouble() - 0.5));
     target = std::max<std::size_t>(target, 4);
 
-    Object obj;
-    obj.points.reserve(target);
-    obj.points.push_back(soma);
+    points.clear();
+    points.push_back(soma);
 
     // Initial stems radiate from the soma; growth cones advance as
     // persistent random walks and occasionally bifurcate (capped so the
@@ -78,21 +78,21 @@ ObjectSet MakeNeuronLike(const NeuronConfig& config) {
     for (int s = 0; s < stems; ++s) cones.push_back(Cone{soma, RandomUnit(rng)});
 
     std::size_t cone_cursor = 0;
-    while (obj.points.size() < target && !cones.empty()) {
+    while (points.size() < target && !cones.empty()) {
       Cone& cone = cones[cone_cursor % cones.size()];
       // Advance: persistent direction + angular noise.
       cone.dir = Blend(cone.dir, RandomUnit(rng), config.persistence);
       cone.pos.x += config.step_length * cone.dir.x;
       cone.pos.y += config.step_length * cone.dir.y;
       cone.pos.z += config.step_length * cone.dir.z;
-      obj.points.push_back(cone.pos);
+      points.push_back(cone.pos);
 
       if (cones.size() < 64 && rng.NextDouble() < config.branch_prob) {
         cones.push_back(Cone{cone.pos, RandomUnit(rng)});
       }
       ++cone_cursor;
     }
-    set.Add(std::move(obj));
+    set.Add(points);
   }
   return set;
 }

@@ -12,6 +12,7 @@ namespace datagen {
 ObjectSet MakePowerLaw(const PowerLawConfig& config) {
   Pcg32 rng(config.seed, 0x73796eULL);  // "syn"
   ObjectSet set;
+  std::vector<Point> points;  // the object being drawn
 
   // Hub sites and their Zipf weights: hub h has weight 1/(h+1)^alpha.
   int hubs = std::max(config.num_hubs, 1);
@@ -45,16 +46,15 @@ ObjectSet MakePowerLaw(const PowerLawConfig& config) {
                      c.y + config.hub_sigma * rng.NextGaussian(),
                      c.z + config.hub_sigma * rng.NextGaussian()};
     }
-    Object obj;
     std::size_t m = std::max<std::size_t>(config.points_per_object, 1);
-    obj.points.reserve(m);
+    points.clear();
     for (std::size_t p = 0; p < m; ++p) {
-      obj.points.push_back(
+      points.push_back(
           Point{centre.x + config.object_sigma * rng.NextGaussian(),
                 centre.y + config.object_sigma * rng.NextGaussian(),
                 centre.z + config.object_sigma * rng.NextGaussian()});
     }
-    set.Add(std::move(obj));
+    set.Add(points);
   }
   return set;
 }

@@ -65,16 +65,15 @@ ObjectSet MakeBirdLike(const BirdConfig& config) {
   // along a corridor are there at the same time, so co-moving birds are
   // close in space AND time (what the temporal variant analyses), while
   // a bird crossing another's path later is spatially close only.
-  auto emit = [&](std::vector<Point> pts, double t_start) {
-    Object obj;
-    obj.points = std::move(pts);
+  std::vector<double> times;
+  auto emit = [&](const std::vector<Point>& pts, double t_start) {
+    times.clear();
     if (config.with_times) {
-      obj.times.resize(obj.points.size());
-      for (std::size_t i = 0; i < obj.times.size(); ++i) {
-        obj.times[i] = t_start + static_cast<double>(i);
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        times.push_back(t_start + static_cast<double>(i));
       }
     }
-    set.Add(std::move(obj));
+    set.Add(pts, times);
   };
 
   // Flocked sub-trajectories ride a corridor window with a per-bird
@@ -98,7 +97,7 @@ ObjectSet MakeBirdLike(const BirdConfig& config) {
       seg.push_back(Point{lp.x + ox + 0.6 * rng.NextGaussian(),
                           lp.y + oy + 0.6 * rng.NextGaussian(), 0.0});
     }
-    emit(std::move(seg),
+    emit(seg,
          static_cast<double>(phase) + config.time_jitter * rng.NextGaussian());
   }
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/cpu_features.hpp"
@@ -96,9 +97,9 @@ struct SoaPoints {
   std::vector<double> xs, ys, zs;
 
   SoaPoints() = default;
-  explicit SoaPoints(const std::vector<Point>& pts) { Assign(pts); }
+  explicit SoaPoints(std::span<const Point> pts) { Assign(pts); }
 
-  void Assign(const std::vector<Point>& pts) {
+  void Assign(std::span<const Point> pts) {
     xs.resize(pts.size());
     ys.resize(pts.size());
     zs.resize(pts.size());

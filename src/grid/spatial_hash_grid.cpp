@@ -5,7 +5,7 @@
 namespace mio {
 
 void SpatialHashGrid::Build(const ObjectSet& objects) {
-  cells_.reserve(objects.Stats().nm / 4 + 1);
+  cells_.reserve(objects.NumPoints() / 4 + 1);
   for (ObjectId i = 0; i < objects.size(); ++i) {
     for (const Point& p : objects[i].points) Insert(i, p);
   }

@@ -15,13 +15,13 @@ namespace mio {
 // SWC
 // ---------------------------------------------------------------------------
 
-Result<Object> LoadSwcFile(const std::string& path) {
+Result<std::vector<Point>> LoadSwcFile(const std::string& path) {
   std::ifstream in(path);
   if (!in || MIO_FAULT_HIT("io.import.open")) {
     return Status::IOError("cannot open SWC file: " + path);
   }
 
-  Object obj;
+  std::vector<Point> points;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -40,12 +40,12 @@ Result<Object> LoadSwcFile(const std::string& path) {
       return Status::Corruption(path + ":" + std::to_string(lineno) +
                                 ": malformed SWC sample line");
     }
-    obj.points.push_back(p);
+    points.push_back(p);
   }
-  if (obj.points.empty()) {
+  if (points.empty()) {
     return Status::Corruption("no sample points in SWC file: " + path);
   }
-  return obj;
+  return points;
 }
 
 Result<ObjectSet> LoadSwcDirectory(const std::string& dir) {
@@ -60,9 +60,9 @@ Result<ObjectSet> LoadSwcDirectory(const std::string& dir) {
 
   ObjectSet set;
   for (const auto& file : files) {
-    Result<Object> obj = LoadSwcFile(file.string());
-    if (!obj.ok()) return obj.status();
-    set.Add(std::move(obj).value());
+    Result<std::vector<Point>> points = LoadSwcFile(file.string());
+    if (!points.ok()) return points.status();
+    set.Add(points.value());
   }
   return set;
 }
@@ -126,7 +126,11 @@ Result<ObjectSet> LoadTrajectoryCsv(const std::string& path,
   // Group fixes by id, preserving row order within each track and the
   // first-appearance order of the tracks themselves.
   std::vector<std::string> track_order;
-  std::unordered_map<std::string, Object> tracks;
+  struct Track {
+    std::vector<Point> points;
+    std::vector<double> times;
+  };
+  std::unordered_map<std::string, Track> tracks;
   std::size_t lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
@@ -158,24 +162,18 @@ Result<ObjectSet> LoadTrajectoryCsv(const std::string& path,
 
   ObjectSet set;
   for (const std::string& id : track_order) {
-    Object& track = tracks[id];
-    std::size_t cap = options.max_points_per_object;
-    if (cap == 0 || track.points.size() <= cap) {
-      set.Add(std::move(track));
-      continue;
-    }
+    const Track& track = tracks[id];
+    const std::span<const Point> points = track.points;
+    const std::span<const double> times = track.times;
     // The paper's preparation: divide long trajectories into ~m-point
     // sub-trajectories, each becoming its own object.
-    for (std::size_t begin = 0; begin < track.points.size(); begin += cap) {
-      std::size_t end = std::min(begin + cap, track.points.size());
-      Object piece;
-      piece.points.assign(track.points.begin() + begin,
-                          track.points.begin() + end);
-      if (!track.times.empty()) {
-        piece.times.assign(track.times.begin() + begin,
-                           track.times.begin() + end);
-      }
-      set.Add(std::move(piece));
+    const std::size_t cap = options.max_points_per_object == 0
+                                ? points.size()
+                                : options.max_points_per_object;
+    for (std::size_t begin = 0; begin < points.size(); begin += cap) {
+      const std::size_t len = std::min(cap, points.size() - begin);
+      set.Add(points.subspan(begin, len),
+              times.empty() ? times : times.subspan(begin, len));
     }
   }
   if (set.empty()) return Status::Corruption("no data rows in " + path);

@@ -19,9 +19,9 @@
 
 namespace mio {
 
-/// Parses one SWC morphology into an Object (sample coordinates only;
-/// radius and topology are irrelevant to MIO queries).
-Result<Object> LoadSwcFile(const std::string& path);
+/// Parses one SWC morphology into one object's points (sample coordinates
+/// only; radius and topology are irrelevant to MIO queries).
+Result<std::vector<Point>> LoadSwcFile(const std::string& path);
 
 /// Loads every `.swc` file under `dir` (sorted by filename for
 /// deterministic object ids) into a collection. Fails if none is found.

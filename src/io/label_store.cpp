@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/fault_injection.hpp"
+#include "io/checksum.hpp"
 #include "obs/metrics.hpp"
 
 namespace mio {
@@ -16,7 +17,6 @@ namespace {
 
 constexpr char kMagic[4] = {'M', 'I', 'O', 'L'};
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 
 // Label IO shares disks with other tenants, so a failed read/write is
 // retried a bounded number of times with exponential backoff. The jitter
@@ -39,16 +39,6 @@ void BackoffSleep(int attempt) {
 bool Retryable(const Status& s) {
   return s.code() == StatusCode::kIOError ||
          s.code() == StatusCode::kCorruption;
-}
-
-std::uint64_t Fnv1a(const void* data, std::size_t len, std::uint64_t seed) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 
 namespace mio {
 
-KdTree::KdTree(std::vector<Point> points) {
+KdTree::KdTree(std::span<const Point> input) {
+  std::vector<Point> points(input.begin(), input.end());
   ids_.resize(points.size());
   std::iota(ids_.begin(), ids_.end(), 0u);
   if (!points.empty()) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "geo/aabb.hpp"
@@ -21,7 +22,7 @@ namespace mio {
 class KdTree {
  public:
   /// Builds over a copy of `points`. Empty input yields an empty tree.
-  explicit KdTree(std::vector<Point> points);
+  explicit KdTree(std::span<const Point> points);
 
   std::size_t size() const { return xs_.size(); }
   bool empty() const { return xs_.empty(); }

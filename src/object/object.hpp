@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "geo/point.hpp"
 
@@ -13,11 +13,13 @@ namespace mio {
 /// Object id type; also the bit index inside BIGrid bitsets.
 using ObjectId = std::uint32_t;
 
-/// A spatial object: a bag of points, optionally timestamped (temporal
-/// variant, paper Appendix B). `times` is either empty or point-parallel.
+/// A spatial object: a view of its points, optionally timestamped
+/// (temporal variant, paper Appendix B), in the owning ObjectSet's flat
+/// store. `times` is either empty or point-parallel. A view stays valid
+/// until the set is next appended to or destroyed.
 struct Object {
-  std::vector<Point> points;
-  std::vector<double> times;
+  std::span<const Point> points;
+  std::span<const double> times;
 
   std::size_t NumPoints() const { return points.size(); }
   bool HasTimes() const { return !times.empty(); }

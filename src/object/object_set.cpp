@@ -1,6 +1,7 @@
 #include "object/object_set.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 namespace mio {
@@ -13,20 +14,42 @@ std::string DatasetStats::ToString() const {
   return buf;
 }
 
-ObjectId ObjectSet::Add(Object obj) {
-  objects_.push_back(std::move(obj));
-  return static_cast<ObjectId>(objects_.size() - 1);
+ObjectSet::ObjectSet(std::vector<Point> points, std::vector<double> times,
+                     std::vector<std::size_t> offsets)
+    : points_(std::move(points)),
+      times_(std::move(times)),
+      offsets_(std::move(offsets)) {
+  assert(times_.empty() || times_.size() == points_.size());
+  assert(offsets_.empty() ? points_.empty()
+                          : offsets_.front() == 0 &&
+                                offsets_.back() == points_.size());
+}
+
+ObjectId ObjectSet::Add(std::span<const Point> points,
+                        std::span<const double> times) {
+  if (offsets_.empty()) offsets_.push_back(0);
+  const bool timed = !times_.empty() || !times.empty();
+  if (timed) times_.resize(points_.size(), 0.0);
+  points_.insert(points_.end(), points.begin(), points.end());
+  if (timed) {
+    times = times.first(std::min(times.size(), points.size()));
+    times_.insert(times_.end(), times.begin(), times.end());
+    times_.resize(points_.size(), 0.0);
+  }
+  offsets_.push_back(points_.size());
+  return static_cast<ObjectId>(size() - 1);
 }
 
 DatasetStats ObjectSet::Stats() const {
   DatasetStats s;
-  s.n = objects_.size();
+  s.n = size();
   if (s.n == 0) return s;
-  s.min_points = objects_[0].NumPoints();
-  for (const Object& o : objects_) {
-    s.nm += o.NumPoints();
-    s.min_points = std::min(s.min_points, o.NumPoints());
-    s.max_points = std::max(s.max_points, o.NumPoints());
+  s.nm = points_.size();
+  s.min_points = s.nm;
+  for (std::size_t i = 0; i < s.n; ++i) {
+    const std::size_t m = offsets_[i + 1] - offsets_[i];
+    s.min_points = std::min(s.min_points, m);
+    s.max_points = std::max(s.max_points, m);
   }
   s.m = static_cast<double>(s.nm) / static_cast<double>(s.n);
   return s;
@@ -34,42 +57,28 @@ DatasetStats ObjectSet::Stats() const {
 
 Aabb ObjectSet::Bounds() const {
   Aabb box;
-  for (const Object& o : objects_) {
-    for (const Point& p : o.points) box.Extend(p);
-  }
+  for (const Point& p : points_) box.Extend(p);
   return box;
 }
 
 std::size_t ObjectSet::MemoryUsageBytes() const {
-  std::size_t bytes = objects_.capacity() * sizeof(Object);
-  for (const Object& o : objects_) {
-    bytes += o.points.capacity() * sizeof(Point);
-    bytes += o.times.capacity() * sizeof(double);
-  }
-  return bytes;
+  return points_.capacity() * sizeof(Point) +
+         times_.capacity() * sizeof(double) +
+         offsets_.capacity() * sizeof(std::size_t);
 }
 
 bool ObjectSet::IsPlanar() const {
-  bool seen = false;
-  double z0 = 0.0;
-  for (const Object& o : objects_) {
-    for (const Point& p : o.points) {
-      if (!seen) {
-        z0 = p.z;
-        seen = true;
-      } else if (p.z != z0) {
-        return false;
-      }
-    }
+  if (points_.empty()) return false;
+  const double z0 = points_[0].z;
+  for (const Point& p : points_) {
+    if (p.z != z0) return false;
   }
-  return seen;
+  return true;
 }
 
 double ObjectSet::MaxTime() const {
   double mx = 0.0;
-  for (const Object& o : objects_) {
-    for (double t : o.times) mx = std::max(mx, t);
-  }
+  for (double t : times_) mx = std::max(mx, t);
   return mx;
 }
 

@@ -15,10 +15,7 @@ ObjectSet SampleObjects(const ObjectSet& input, double rate,
       static_cast<std::size_t>(rate * static_cast<double>(input.size()));
   ObjectSet out;
   if (take == 0) return out;
-  if (take >= input.size()) {
-    for (const Object& o : input.objects()) out.Add(o);
-    return out;
-  }
+  if (take >= input.size()) return input;
   std::vector<std::uint32_t> idx(input.size());
   std::iota(idx.begin(), idx.end(), 0u);
   Pcg32 rng(seed);

@@ -45,8 +45,10 @@ INSTANTIATE_TEST_SUITE_P(
         AgreementCase{60, 2, 8, 40.0, 6.0, 6}));
 
 TEST(NestedLoopTest, PairPredicateEarlyBreak) {
-  Object a{{{0, 0, 0}, {100, 0, 0}}, {}};
-  Object b{{{0.5, 0, 0}, {200, 0, 0}}, {}};
+  const std::vector<Point> pa = {{0, 0, 0}, {100, 0, 0}};
+  const std::vector<Point> pb = {{0.5, 0, 0}, {200, 0, 0}};
+  const Object a{pa, {}};
+  const Object b{pb, {}};
   std::size_t comps = 0;
   EXPECT_TRUE(ObjectsInteract(a, b, 1.0, &comps));
   EXPECT_EQ(comps, 1u);  // first pair hits; no further distances
@@ -59,9 +61,9 @@ TEST(NestedLoopTest, ScoresAreSymmetricCounts) {
   // Three collinear objects, spaced 5 apart: at r=5 each end interacts
   // with the middle, the middle with both.
   ObjectSet set;
-  set.Add(Object{{{0, 0, 0}}, {}});
-  set.Add(Object{{{5, 0, 0}}, {}});
-  set.Add(Object{{{10, 0, 0}}, {}});
+  set.Add({{0, 0, 0}});
+  set.Add({{5, 0, 0}});
+  set.Add({{10, 0, 0}});
   std::vector<std::uint32_t> tau = NestedLoopScores(set, 5.0);
   EXPECT_EQ(tau, (std::vector<std::uint32_t>{1, 2, 1}));
   EXPECT_EQ(NestedLoopQuery(set, 5.0).best().id, 1u);

@@ -155,14 +155,14 @@ TEST(BiGridTest, NeighbourTableMatchesForEachNeighbor) {
   // every lattice axis.
   ObjectSet raw = testing::MakeRandomObjects(40, 3, 9, 12.0, 12, 3.0);
   ObjectSet set;
-  for (const Object& o : raw.objects()) {
-    Object shifted = o;
-    for (Point& p : shifted.points) {
+  for (const Object& o : raw) {
+    std::vector<Point> shifted(o.points.begin(), o.points.end());
+    for (Point& p : shifted) {
       p.x -= 6.0;
       p.y -= 6.0;
       p.z -= 6.0;
     }
-    set.Add(std::move(shifted));
+    set.Add(shifted);
   }
   for (double r : {1.0, 2.0, 3.5}) {
     BiGrid grid(set, r);
@@ -333,12 +333,12 @@ TEST(BiGridTest, RadixSortedLayoutMatchesStableSort) {
     };
     ObjectSet set;
     for (int i = 0; i < 15; ++i) {
-      Object o;
+      std::vector<Point> pts;
       const std::size_t m = 1 + (i % 3 == 0 ? 1 : 0);
       for (std::size_t j = 0; j < m; ++j) {
-        o.points.push_back(Point{pick(tc.xs), pick(tc.ys), pick(tc.zs)});
+        pts.push_back(Point{pick(tc.xs), pick(tc.ys), pick(tc.zs)});
       }
-      set.Add(std::move(o));
+      set.Add(pts);
     }
     ASSERT_LT(set.Stats().nm, kOctantMinPoints);
     BiGrid grid(set, r);

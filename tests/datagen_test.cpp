@@ -53,7 +53,7 @@ TEST(NeuronGenTest, ObjectsAreElongatedNotBlobs) {
   cfg.num_objects = 5;
   cfg.points_per_object = 300;
   ObjectSet set = MakeNeuronLike(cfg);
-  for (const Object& o : set.objects()) {
+  for (const Object& o : set) {
     Aabb box;
     for (const Point& p : o.points) box.Extend(p);
     double span = std::max({box.ExtentX(), box.ExtentY(), box.ExtentZ()});
@@ -78,7 +78,7 @@ TEST(BirdGenTest, TrajectoriesAreTwoDimensional) {
   datagen::BirdConfig cfg;
   cfg.num_objects = 20;
   ObjectSet set = MakeBirdLike(cfg);
-  for (const Object& o : set.objects()) {
+  for (const Object& o : set) {
     for (const Point& p : o.points) EXPECT_DOUBLE_EQ(p.z, 0.0);
   }
 }
@@ -101,7 +101,7 @@ TEST(BirdGenTest, TimesAreMonotonePerObject) {
   cfg.num_objects = 30;
   cfg.with_times = true;
   ObjectSet set = MakeBirdLike(cfg);
-  for (const Object& o : set.objects()) {
+  for (const Object& o : set) {
     ASSERT_TRUE(o.HasTimes());
     for (std::size_t j = 1; j < o.times.size(); ++j) {
       EXPECT_GT(o.times[j], o.times[j - 1]);

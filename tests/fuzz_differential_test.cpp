@@ -49,10 +49,10 @@ TEST_P(FuzzDifferentialTest, RandomConfigurationsMatchOracle) {
     ObjectSet raw =
         testing::MakeRandomObjects(n, m_min, m_max, domain, seed, sigma);
     if (planar) {
-      for (const Object& o : raw.objects()) {
-        Object copy = o;
-        for (Point& p : copy.points) p.z = 0.0;
-        set.Add(std::move(copy));
+      for (const Object& o : raw) {
+        std::vector<Point> copy(o.points.begin(), o.points.end());
+        for (Point& p : copy) p.z = 0.0;
+        set.Add(copy);
       }
     } else {
       set = std::move(raw);
@@ -121,7 +121,7 @@ ObjectSet MakeAdversarial(Shape shape, Pcg32& rng) {
   ObjectSet set;
   const std::size_t n = 20 + rng.NextBounded(40);
   for (std::size_t i = 0; i < n; ++i) {
-    Object o;
+    std::vector<Point> pts;
     const std::size_t m = 1 + rng.NextBounded(8);
     // Object centre in [-6, 6)^3: every lattice axis crosses zero.
     const double cx = rng.NextDouble(-6.0, 6.0);
@@ -149,7 +149,7 @@ ObjectSet MakeAdversarial(Shape shape, Pcg32& rng) {
           break;
         case Shape::kDuplicates:
           if (j > 0 && rng.NextDouble() < 0.4) {
-            p = o.points[rng.NextBounded(static_cast<std::uint32_t>(j))];
+            p = pts[rng.NextBounded(static_cast<std::uint32_t>(j))];
           } else if (i > 0 && rng.NextDouble() < 0.4) {
             const Object& other =
                 set[rng.NextBounded(static_cast<std::uint32_t>(i))];
@@ -165,9 +165,9 @@ ObjectSet MakeAdversarial(Shape shape, Pcg32& rng) {
                -3.0};
           break;
       }
-      o.points.push_back(p);
+      pts.push_back(p);
     }
-    set.Add(std::move(o));
+    set.Add(pts);
   }
   return set;
 }

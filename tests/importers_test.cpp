@@ -36,11 +36,11 @@ TEST_F(ImportersTest, SwcBasicParse) {
                            "1 1 0.0 0.0 0.0 5.0 -1\n"
                            "2 3 1.5 0.5 0.0 0.5 1\n"
                            "  3 3 3.0 1.0 0.5 0.4 2\n");
-  Result<Object> obj = LoadSwcFile(path);
-  ASSERT_TRUE(obj.ok()) << obj.status().ToString();
-  ASSERT_EQ(obj.value().points.size(), 3u);
-  EXPECT_DOUBLE_EQ(obj.value().points[1].x, 1.5);
-  EXPECT_DOUBLE_EQ(obj.value().points[2].z, 0.5);
+  Result<std::vector<Point>> points = LoadSwcFile(path);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  ASSERT_EQ(points.value().size(), 3u);
+  EXPECT_DOUBLE_EQ(points.value()[1].x, 1.5);
+  EXPECT_DOUBLE_EQ(points.value()[2].z, 0.5);
 }
 
 TEST_F(ImportersTest, SwcRejectsMalformedAndEmpty) {

@@ -5,10 +5,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "core/labels.hpp"
+#include "io/checksum.hpp"
 #include "io/dataset_io.hpp"
 #include "io/label_store.hpp"
 #include "test_utils.hpp"
@@ -75,6 +79,118 @@ TEST_F(IoTest, BinaryRoundTrip) {
   Result<ObjectSet> loaded = LoadDatasetBinary(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameDataset(set, loaded.value());
+}
+
+/// Reads a whole file.
+std::vector<char> ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteAll(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(IoTest, BinaryRoundTripWithoutTimes) {
+  ObjectSet set = testing::MakeRandomObjects(30, 1, 12, 30.0, 21);
+  std::string path = PathFor("plain.bin");
+  ASSERT_TRUE(SaveDatasetBinary(set, path).ok());
+  Result<ObjectSet> loaded = LoadDatasetBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded.value().HasTimes());
+  ExpectSameDataset(set, loaded.value());
+}
+
+TEST_F(IoTest, BinaryWritesV2Layout) {
+  for (bool timed : {false, true}) {
+    ObjectSet set = testing::MakeRandomObjects(7, 2, 9, 30.0, 22, 5.0, timed);
+    std::string path = PathFor("v2.bin");
+    ASSERT_TRUE(SaveDatasetBinary(set, path).ok());
+    const std::vector<char> bytes = ReadAll(path);
+    // 32-byte header, n counts, the points block, the times block, trailer.
+    const std::size_t n = set.size(), nm = set.NumPoints();
+    ASSERT_EQ(bytes.size(), 32 + 8 * n + (24 + (timed ? 8 : 0)) * nm + 8);
+    EXPECT_EQ(std::memcmp(bytes.data(), "MIOD", 4), 0);
+    std::uint32_t version = 0;
+    std::uint64_t head[3];
+    std::memcpy(&version, bytes.data() + 4, 4);
+    std::memcpy(head, bytes.data() + 8, sizeof(head));
+    EXPECT_EQ(version, 2u);
+    EXPECT_EQ(head[0], n);
+    EXPECT_EQ(head[1], nm);
+    EXPECT_EQ(head[2], timed ? 1u : 0u);
+    // The points block is the flat store verbatim.
+    EXPECT_EQ(std::memcmp(bytes.data() + 32 + 8 * n, set.points().data(),
+                          set.points().size_bytes()),
+              0);
+    // The trailer is the word checksum of everything before it.
+    WordSum sum;
+    sum.Update(bytes.data(), bytes.size() - 8);
+    std::uint64_t stored = 0;
+    std::memcpy(&stored, bytes.data() + bytes.size() - 8, 8);
+    EXPECT_EQ(stored, sum.Digest());
+  }
+}
+
+TEST_F(IoTest, BinaryRoundTripEmptySet) {
+  std::string path = PathFor("empty.bin");
+  ASSERT_TRUE(SaveDatasetBinary(ObjectSet(), path).ok());
+  Result<ObjectSet> loaded = LoadDatasetBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().empty());
+}
+
+TEST_F(IoTest, V1FixtureLoadsToTheSameSet) {
+  for (bool timed : {false, true}) {
+    ObjectSet set = testing::MakeRandomObjects(12, 1, 7, 30.0, 23, 5.0, timed);
+    std::string v1 = PathFor("v1.bin");
+    WriteAll(v1, testing::EncodeDatasetV1(set));
+    Result<ObjectSet> loaded = LoadDatasetBinary(v1);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().HasTimes(), timed);
+    ExpectSameDataset(set, loaded.value());
+
+    // Saving the loaded set upgrades the file to v2, with the same content.
+    std::string v2 = PathFor("upgraded.bin");
+    ASSERT_TRUE(SaveDatasetBinary(loaded.value(), v2).ok());
+    EXPECT_EQ(ReadAll(v2)[4], 2);
+    Result<ObjectSet> again = LoadDatasetBinary(v2);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    ExpectSameDataset(set, again.value());
+  }
+}
+
+TEST(WordSumTest, DigestIgnoresHowTheStreamIsSplit) {
+  std::vector<std::uint64_t> words(37);
+  for (std::size_t i = 0; i < words.size(); ++i) words[i] = i * 0x9E37u + 1;
+  WordSum whole;
+  whole.Update(words.data(), words.size() * 8);
+  for (std::size_t cut = 0; cut <= words.size(); ++cut) {
+    WordSum split;
+    split.Update(words.data(), cut * 8);
+    split.Update(words.data() + cut, (words.size() - cut) * 8);
+    EXPECT_EQ(split.Digest(), whole.Digest()) << "cut at word " << cut;
+  }
+}
+
+TEST(WordSumTest, EverySingleByteChangeChangesTheDigest) {
+  std::vector<unsigned char> bytes(8 * 13);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 7);
+  }
+  WordSum base;
+  base.Update(bytes.data(), bytes.size());
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (int delta : {1, 0x80, 0xFF}) {
+      std::vector<unsigned char> mutated = bytes;
+      mutated[at] = static_cast<unsigned char>(mutated[at] + delta);
+      WordSum sum;
+      sum.Update(mutated.data(), mutated.size());
+      EXPECT_NE(sum.Digest(), base.Digest()) << "byte " << at;
+    }
+  }
 }
 
 TEST_F(IoTest, LoadMissingFileReportsIOError) {
@@ -186,7 +302,7 @@ TEST_F(IoTest, LabelStoreKeysAreIndependent) {
 
 TEST(LabelSetTest, Counters) {
   ObjectSet set;
-  set.Add(Object{{{0, 0, 0}, {1, 1, 1}}, {}});
+  set.Add({{0, 0, 0}, {1, 1, 1}});
   LabelSet labels = LabelSet::MakeAllOnes(set);
   EXPECT_EQ(labels.CountMapPruned(), 0u);
   EXPECT_EQ(labels.CountAnyPruned(), 0u);

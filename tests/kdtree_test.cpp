@@ -42,7 +42,8 @@ TEST(KdTreeTest, EmptyTree) {
 }
 
 TEST(KdTreeTest, SinglePoint) {
-  KdTree tree({Point{1, 2, 3}});
+  const Point one[] = {{1, 2, 3}};
+  KdTree tree(one);
   EXPECT_TRUE(tree.ContainsWithin(Point{1, 2, 3}, 0.0));
   EXPECT_TRUE(tree.ContainsWithin(Point{2, 2, 3}, 1.0));
   EXPECT_FALSE(tree.ContainsWithin(Point{3, 2, 3}, 1.0));
@@ -64,7 +65,7 @@ class KdTreeParamTest : public ::testing::TestWithParam<TreeCase> {
         ObjectSet set = testing::MakeRandomObjects(5, c.n / 5, c.n / 5, 40.0,
                                                    c.seed, 2.0);
         std::vector<Point> pts;
-        for (const Object& o : set.objects()) {
+        for (const Object& o : set) {
           pts.insert(pts.end(), o.points.begin(), o.points.end());
         }
         return pts;

@@ -153,7 +153,7 @@ TEST(EngineEdgeTest, NoInteractionsAnywhere) {
   // Objects spaced far beyond r: every score is 0; any id is acceptable.
   ObjectSet set;
   for (int i = 0; i < 10; ++i) {
-    set.Add(Object{{{i * 1000.0, 0, 0}}, {}});
+    set.Add({{i * 1000.0, 0, 0}});
   }
   MioEngine engine(set);
   QueryResult res = engine.Query(5.0);
@@ -177,7 +177,7 @@ TEST(EngineEdgeTest, KLargerThanNClamps) {
 }
 
 TEST(EngineEdgeTest, IdenticalObjectsTie) {
-  Object proto{{{1, 1, 1}, {2, 2, 2}}, {}};
+  const std::vector<Point> proto = {{1, 1, 1}, {2, 2, 2}};
   ObjectSet set;
   set.Add(proto);
   set.Add(proto);

@@ -13,10 +13,10 @@ namespace {
 ObjectSet MakePlanar(std::size_t n, std::uint64_t seed, double z = 0.0) {
   ObjectSet src = testing::MakeRandomObjects(n, 4, 10, 30.0, seed, 5.0);
   ObjectSet flat;
-  for (const Object& o : src.objects()) {
-    Object copy = o;
-    for (Point& p : copy.points) p.z = z;
-    flat.Add(std::move(copy));
+  for (const Object& o : src) {
+    std::vector<Point> copy(o.points.begin(), o.points.end());
+    for (Point& p : copy) p.z = z;
+    flat.Add(copy);
   }
   return flat;
 }

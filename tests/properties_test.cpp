@@ -66,7 +66,7 @@ TEST_P(MioPropertyTest, DuplicatingTheWinnerRaisesEveryNeighbor) {
   if (before.best().score == 0) GTEST_SKIP();
 
   ObjectSet bigger;
-  for (const Object& o : set.objects()) bigger.Add(o);
+  for (const Object& o : set) bigger.Add(o);
   bigger.Add(set[before.best().id]);
   MioEngine engine2(bigger);
   QueryResult after = engine2.Query(5.0);

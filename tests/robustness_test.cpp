@@ -14,6 +14,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.hpp"
@@ -205,7 +206,7 @@ TEST_F(FaultInjectionTest, ImportOpenFaultFailsExistingFile) {
   }
   ASSERT_TRUE(LoadSwcFile(path).ok());
   ASSERT_TRUE(fault::Arm("io.import.open", "always").ok());
-  Result<Object> r = LoadSwcFile(path);
+  Result<std::vector<Point>> r = LoadSwcFile(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
@@ -683,38 +684,46 @@ TEST_F(RobustnessTest, CorruptLabelFileIsRecomputedAndRewritten) {
 // Hardened binary loader: corruption matrix
 // ---------------------------------------------------------------------------
 
+/// The same set as a v2 file (the format written) and as a v1 file (still
+/// loaded), for the corruption matrices.
+std::vector<std::vector<char>> BothFormats(const ObjectSet& set,
+                                           const std::string& scratch) {
+  EXPECT_TRUE(SaveDatasetBinary(set, scratch).ok());
+  return {ReadAll(scratch), testing::EncodeDatasetV1(set)};
+}
+
 TEST_F(RobustnessTest, BinaryTruncationAtEveryOffsetFailsDescriptively) {
   ObjectSet set = testing::MakeRandomObjects(6, 2, 5, 20.0, 11, 5.0, true);
-  std::string good = PathFor("good.bin");
-  ASSERT_TRUE(SaveDatasetBinary(set, good).ok());
-  std::vector<char> bytes = ReadAll(good);
-  ASSERT_GT(bytes.size(), 17u);
-
-  std::string path = PathFor("trunc.bin");
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    WriteAll(path, bytes.data(), len);
-    Result<ObjectSet> r = LoadDatasetBinary(path);
-    ASSERT_FALSE(r.ok()) << "truncated to " << len << " bytes loaded";
-    EXPECT_TRUE(r.status().code() == StatusCode::kCorruption ||
-                r.status().code() == StatusCode::kIOError)
-        << r.status().ToString();
-    EXPECT_FALSE(r.status().message().empty());
+  for (const std::vector<char>& bytes : BothFormats(set, PathFor("good.bin"))) {
+    ASSERT_GT(bytes.size(), 17u);
+    std::string path = PathFor("trunc.bin");
+    WriteAll(path, bytes.data(), bytes.size());
+    ASSERT_TRUE(LoadDatasetBinary(path).ok());
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      WriteAll(path, bytes.data(), len);
+      Result<ObjectSet> r = LoadDatasetBinary(path);
+      ASSERT_FALSE(r.ok()) << "v" << int{bytes[4]} << " truncated to " << len
+                           << " bytes loaded";
+      EXPECT_TRUE(r.status().code() == StatusCode::kCorruption ||
+                  r.status().code() == StatusCode::kIOError)
+          << r.status().ToString();
+      EXPECT_FALSE(r.status().message().empty());
+    }
   }
 }
 
 TEST_F(RobustnessTest, BinaryBitFlipAtEveryOffsetIsDetected) {
   ObjectSet set = testing::MakeRandomObjects(6, 2, 5, 20.0, 12, 5.0, true);
-  std::string good = PathFor("good.bin");
-  ASSERT_TRUE(SaveDatasetBinary(set, good).ok());
-  const std::vector<char> bytes = ReadAll(good);
-
-  std::string path = PathFor("flip.bin");
-  for (std::size_t off = 0; off < bytes.size(); ++off) {
-    std::vector<char> mutated = bytes;
-    mutated[off] ^= 0x40;
-    WriteAll(path, mutated.data(), mutated.size());
-    Result<ObjectSet> r = LoadDatasetBinary(path);
-    EXPECT_FALSE(r.ok()) << "bit flip at offset " << off << " loaded";
+  for (const std::vector<char>& bytes : BothFormats(set, PathFor("good.bin"))) {
+    std::string path = PathFor("flip.bin");
+    for (std::size_t off = 0; off < bytes.size(); ++off) {
+      std::vector<char> mutated = bytes;
+      mutated[off] ^= 0x40;
+      WriteAll(path, mutated.data(), mutated.size());
+      Result<ObjectSet> r = LoadDatasetBinary(path);
+      EXPECT_FALSE(r.ok()) << "v" << int{bytes[4]} << " bit flip at offset "
+                           << off << " loaded";
+    }
   }
 }
 
@@ -785,6 +794,45 @@ TEST_F(RobustnessTest, AbsurdDeclaredPointCountFailsBeforeAllocating) {
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   EXPECT_NE(r.status().message().find("exceeds remaining file size"),
             std::string::npos);
+}
+
+/// A v2 header declaring `n` objects and `nm` points, followed by `tail`
+/// zero bytes: far too short for the declared counts.
+void WriteV2Header(const std::string& path, std::uint64_t n, std::uint64_t nm,
+                   std::size_t tail) {
+  std::ofstream out(path, std::ios::binary);
+  out.write("MIOD", 4);
+  const std::uint32_t version = 2;
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  const std::uint64_t head[3] = {n, nm, 0};
+  out.write(reinterpret_cast<const char*>(head), sizeof(head));
+  const std::vector<char> zeros(tail, 0);
+  out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+}
+
+TEST_F(RobustnessTest, AbsurdV2CountsFailBeforeAllocating) {
+  // Each declared count alone would need exabytes; the loader must reject
+  // it from the exact-size check, never size an array by it.
+  const std::string path = PathFor("absurd_v2.bin");
+  for (const auto& [n, nm] :
+       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {1ull << 60, 1},
+           {1, 1ull << 58},
+           {~0ull, ~0ull},
+           {~0ull / 8, 0},
+           {0, ~0ull / 24}}) {
+    WriteV2Header(path, n, nm, 40);
+    Result<ObjectSet> r = LoadDatasetBinary(path);
+    ASSERT_FALSE(r.ok()) << "n=" << n << " nm=" << nm;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(r.status().message().find("file size"), std::string::npos)
+        << r.status().message();
+  }
+  // Counts that fit the file but do not sum to the declared nm.
+  WriteV2Header(path, 2, 1, 8 * 2 + 24 + 8);  // counts 0 and 0, nm = 1
+  Result<ObjectSet> r = LoadDatasetBinary(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(RobustnessTest, TextLoaderCapsTrustedReserve) {

@@ -90,12 +90,12 @@ TEST(RtreeMbrTest, ElongatedObjectsHaveMostlyEmptyMbrs) {
   ObjectSet diagonal;
   Pcg32 rng(5);
   for (int i = 0; i < 30; ++i) {
-    Object o;
+    std::vector<Point> pts;
     double x0 = rng.NextDouble(0, 100), y0 = rng.NextDouble(0, 100);
     for (int j = 0; j < 40; ++j) {
-      o.points.push_back(Point{x0 + j * 2.0, y0 + j * 2.0, j * 2.0});
+      pts.push_back(Point{x0 + j * 2.0, y0 + j * 2.0, j * 2.0});
     }
-    diagonal.Add(std::move(o));
+    diagonal.Add(pts);
   }
   EXPECT_GT(MbrEmptinessFraction(diagonal, 4.0), 0.9);
 
@@ -134,16 +134,16 @@ TEST(RtreeMbrTest, FilterStatsExposeUselessness) {
   ObjectSet set;
   Pcg32 rng(9);
   for (int i = 0; i < 40; ++i) {
-    Object o;
+    std::vector<Point> pts;
     // Random rising/falling diagonal across a shared domain: every MBR
     // spans most of the space, but two trajectories meet (if at all) at
     // a single crossing where their z phases rarely coincide.
     double dir = rng.NextDouble() < 0.5 ? 1.0 : -1.0;
     double y0 = rng.NextDouble(0.0, 300.0);
     for (int j = 0; j < 30; ++j) {
-      o.points.push_back(Point{j * 10.0, y0 + dir * j * 10.0, j * 3.0});
+      pts.push_back(Point{j * 10.0, y0 + dir * j * 10.0, j * 3.0});
     }
-    set.Add(std::move(o));
+    set.Add(pts);
   }
   MbrFilterStats stats;
   RtreeMbrScores(set, 0.5, 1, &stats);

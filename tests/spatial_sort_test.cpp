@@ -18,8 +18,8 @@ TEST(SpatialSortTest, PreservesMultisetOfObjects) {
   // Every original object appears exactly once (match by first point,
   // which is unique for continuous random data).
   std::vector<double> orig, got;
-  for (const Object& o : set.objects()) orig.push_back(o.points[0].x);
-  for (const Object& o : sorted.objects()) got.push_back(o.points[0].x);
+  for (const Object& o : set) orig.push_back(o.points[0].x);
+  for (const Object& o : sorted) got.push_back(o.points[0].x);
   std::sort(orig.begin(), orig.end());
   std::sort(got.begin(), got.end());
   EXPECT_EQ(orig, got);
@@ -41,7 +41,7 @@ TEST(SpatialSortTest, NeighborsGetNearbyIds) {
   ObjectSet set;
   for (int i = 0; i < 10; ++i) {
     double base = (i % 2 == 0) ? 0.0 : 1000.0;  // interleave clusters
-    set.Add(Object{{{base + i * 0.1, 0, 0}}, {}});
+    set.Add({{base + i * 0.1, 0, 0}});
   }
   ObjectSet sorted = SortObjectsSpatially(set);
   // First five ids in one cluster, last five in the other.
@@ -79,13 +79,13 @@ TEST(SpatialSortTest, ImprovesBitsetCompression) {
 TEST(SpatialSortTest, EdgeCases) {
   EXPECT_EQ(SortObjectsSpatially(ObjectSet{}).size(), 0u);
   ObjectSet one;
-  one.Add(Object{{{1, 2, 3}}, {}});
+  one.Add({{1, 2, 3}});
   ObjectSet sorted = SortObjectsSpatially(one);
   ASSERT_EQ(sorted.size(), 1u);
   EXPECT_TRUE(sorted[0].points[0] == Point({1, 2, 3}));
   // All objects at the same location: any order is fine, nothing crashes.
   ObjectSet same;
-  for (int i = 0; i < 5; ++i) same.Add(Object{{{7, 7, 7}}, {}});
+  for (int i = 0; i < 5; ++i) same.Add({{7, 7, 7}});
   EXPECT_EQ(SortObjectsSpatially(same).size(), 5u);
 }
 

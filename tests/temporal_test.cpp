@@ -62,9 +62,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TemporalTest, DeltaZeroRequiresExactTimestampMatch) {
   // Two objects at the same place; times match only between 0 and 1.
   ObjectSet set;
-  set.Add(Object{{{0, 0, 0}, {1, 0, 0}}, {1.0, 2.0}});
-  set.Add(Object{{{0.1, 0, 0}, {1.1, 0, 0}}, {1.0, 5.0}});
-  set.Add(Object{{{0.2, 0, 0}}, {9.0}});  // right place, wrong time
+  set.Add({{0, 0, 0}, {1, 0, 0}}, {1.0, 2.0});
+  set.Add({{0.1, 0, 0}, {1.1, 0, 0}}, {1.0, 5.0});
+  set.Add({{0.2, 0, 0}}, {9.0});  // right place, wrong time
 
   std::vector<std::uint32_t> exact = TemporalBruteForceScores(set, 1.0, 0.0);
   EXPECT_EQ(exact, (std::vector<std::uint32_t>{1, 1, 0}));
@@ -77,10 +77,10 @@ TEST(TemporalTest, DeltaZeroAgainstOracleRandomised) {
   // Coarse timestamps so exact collisions actually occur.
   ObjectSet base = testing::MakeRandomObjects(20, 4, 8, 15.0, 7, 4.0, true, 5.0);
   ObjectSet set;
-  for (const Object& o : base.objects()) {
-    Object copy = o;
-    for (double& t : copy.times) t = std::floor(t);  // times in {0..4}
-    set.Add(std::move(copy));
+  for (const Object& o : base) {
+    std::vector<double> times(o.times.begin(), o.times.end());
+    for (double& t : times) t = std::floor(t);  // times in {0..4}
+    set.Add(o.points, times);
   }
   std::vector<std::uint32_t> exact = TemporalBruteForceScores(set, 5.0, 0.0);
   QueryResult res = TemporalMioQuery(set, 5.0, 0.0);
@@ -104,7 +104,7 @@ TEST(TemporalTest, EdgeCases) {
   EXPECT_TRUE(TemporalMioQuery(set, 5.0, -1.0).topk.empty());
   // Single object: score zero.
   ObjectSet one;
-  one.Add(Object{{{0, 0, 0}}, {1.0}});
+  one.Add({{0, 0, 0}}, {1.0});
   QueryResult res = TemporalMioQuery(one, 5.0, 1.0);
   ASSERT_EQ(res.topk.size(), 1u);
   EXPECT_EQ(res.best().score, 0u);

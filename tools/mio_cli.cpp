@@ -192,7 +192,7 @@ int CmdStats(const mio::ArgParser& args) {
   std::printf("bounds: [%.2f,%.2f]x[%.2f,%.2f]x[%.2f,%.2f]%s\n", box.min.x,
               box.max.x, box.min.y, box.max.y, box.min.z, box.max.z,
               objects.IsPlanar() ? " (planar)" : "");
-  std::printf("in-memory size: %s\n",
+  std::printf("in-memory size: %s (flat store: points, times, offsets)\n",
               mio::FormatBytes(objects.MemoryUsageBytes()).c_str());
   return 0;
 }
